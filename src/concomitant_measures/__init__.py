@@ -10,14 +10,14 @@ Public surface, by module:
   order statistic parameters, the C* coefficient, concomitant pdf/cdf,
   samplers.
 - :mod:`~concomitant_measures.inaccuracy` / :mod:`~concomitant_measures.cpi`:
-  the measures, their reversed and quantile forms, closed-form families,
-  bound classification.
+  the measures by closed decomposition and by quadrature, their reversed and
+  quantile forms, bound classification.
 - :mod:`~concomitant_measures.empirical`: spacings-based estimators, exact
   moments, CLT diagnostics, Monte Carlo validation.
 - :mod:`~concomitant_measures.cli`: the ``cmeasure`` command.
 """
 
-from .cpi import check_cpi_bounds, closed_form_cpi, cpi_gos, reversed_cpi
+from .cpi import check_cpi_bounds, cpi_gos, reversed_cpi
 from .empirical import (
     EmpiricalStudy,
     ValidationReport,
@@ -47,7 +47,6 @@ from .fgm import (
 )
 from .inaccuracy import (
     MeasureResult,
-    closed_form_inaccuracy,
     extremes_inaccuracy,
     inaccuracy_gos,
     quantile_form_inaccuracy,
@@ -73,9 +72,9 @@ __all__ = [
     "FgmModel", "GosParams", "order_statistics", "record_value", "c_star",
     "concomitant_pdf", "concomitant_cdf", "sample_joint", "sample_concomitant",
     "extremes_pdf", "parse_gos", "format_gos",
-    "MeasureResult", "inaccuracy_gos", "closed_form_inaccuracy",
+    "MeasureResult", "inaccuracy_gos",
     "reversed_inaccuracy", "quantile_form_inaccuracy", "extremes_inaccuracy",
-    "cpi_gos", "closed_form_cpi", "reversed_cpi", "check_cpi_bounds",
+    "cpi_gos", "reversed_cpi", "check_cpi_bounds",
     "spacings", "empirical_cpi", "empirical_cpi_record",
     "empirical_cumulative_entropy", "empirical_cumulative_entropy_max2",
     "moments_mtbged", "moments_mtbud", "lyapunov_ratio", "mc_validate",

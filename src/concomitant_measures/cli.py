@@ -14,12 +14,17 @@ stdout, diagnostics on stderr only:
 Floats are printed with 15 significant digits; --paper-precision rounds to 3
 decimals for diffing against the reference tables.  The seed falls back to
 the CM_SEED environment variable, then to 0.
+
+Exit codes: 0 success, 1 domain error, 2 spec-string parse error, 3 numerical
+failure (the quadrature could not certify its tolerance; the message carries
+the best estimate).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -27,9 +32,9 @@ import sys
 from .cpi import check_cpi_bounds, cpi_gos, reversed_cpi
 from .empirical import mc_validate, moments_mtbged, moments_mtbud
 from .fgm import FgmModel, format_gos, parse_gos
-from .inaccuracy import inaccuracy_gos, reversed_inaccuracy
+from .inaccuracy import MeasureResult, inaccuracy_gos, reversed_inaccuracy
 from .marginals import SpecFormatError, format_marginal, parse_marginal
-from .numerics import RngStream
+from .numerics import QuadratureError, RngStream
 
 __all__ = ["main", "TABLE1_REFERENCE", "TABLE2_REFERENCE"]
 
@@ -125,59 +130,44 @@ def _cmd_measure(args) -> list[dict]:
     marginal = parse_marginal(args.marginal)
     gos = parse_gos(args.gos)
     model = FgmModel(marginal_x=marginal, marginal_y=marginal, alpha=args.alpha)
+    # built per call, so a module attribute rebound at run time (a tracer, a
+    # test double) is the one called
+    routes = {
+        "inaccuracy": inaccuracy_gos,
+        "reversed_inaccuracy": reversed_inaccuracy,
+        "cpi": cpi_gos,
+        "reversed_cpi": reversed_cpi,
+        "bounds": lambda mdl, p: MeasureResult(check_cpi_bounds(mdl, p), "closed_form"),
+    }
     requested = args.measure or ["all"]
     if "all" in requested:
-        requested = list(MEASURE_NAMES)
-    records = []
-    for name in requested:
-        if name == "inaccuracy":
-            res = inaccuracy_gos(model, gos)
-        elif name == "reversed_inaccuracy":
-            res = reversed_inaccuracy(model, gos)
-        elif name == "cpi":
-            res = cpi_gos(model, gos)
-        elif name == "reversed_cpi":
-            res = reversed_cpi(model, gos)
-        else:
-            records.append({
-                "command": "measure", "marginal": format_marginal(marginal),
-                "gos": format_gos(gos), "alpha": args.alpha, "measure": "bounds",
-                "value": check_cpi_bounds(model, gos), "method": "closed_form",
-                "abs_error_estimate": 0.0,
-            })
-            continue
-        records.append({
-            "command": "measure", "marginal": format_marginal(marginal),
-            "gos": format_gos(gos), "alpha": args.alpha, "measure": name,
-            "value": res.value, "method": res.method,
-            "abs_error_estimate": res.abs_error_estimate,
-        })
-    return records
+        requested = MEASURE_NAMES
+    return [
+        {
+            "command": "measure", "marginal": format_marginal(marginal), "gos": format_gos(gos),
+            "alpha": args.alpha, "measure": name, **dataclasses.asdict(routes[name](model, gos)),
+        }
+        for name in requested
+    ]
 
 
 def _cmd_table(args) -> list[dict]:
-    records = []
     if args.table == 1:
-        for (n, theta2, alpha), (ref_mean, ref_var) in TABLE1_REFERENCE.items():
-            mean, var = moments_mtbged(n, theta2, alpha, _TABLE_R)
-            for stat, computed, ref in (("mean", mean, ref_mean), ("variance", var, ref_var)):
-                records.append({
-                    "command": "table", "table": 1, "n": n, "theta2": theta2,
-                    "alpha": alpha, "r": _TABLE_R, "statistic": stat,
-                    "computed": computed, "reference": ref,
-                })
+        cells = [(n, theta2, alpha, ref, moments_mtbged(n, theta2, alpha, _TABLE_R))
+                 for (n, theta2, alpha), ref in TABLE1_REFERENCE.items()]
     elif args.table == 2:
-        for (n, alpha), (ref_mean, ref_var) in TABLE2_REFERENCE.items():
-            mean, var = moments_mtbud(n, alpha, _TABLE_R)
-            for stat, computed, ref in (("mean", mean, ref_mean), ("variance", var, ref_var)):
-                records.append({
-                    "command": "table", "table": 2, "n": n, "theta2": 1.0,
-                    "alpha": alpha, "r": _TABLE_R, "statistic": stat,
-                    "computed": computed, "reference": ref,
-                })
+        cells = [(n, 1.0, alpha, ref, moments_mtbud(n, alpha, _TABLE_R))
+                 for (n, alpha), ref in TABLE2_REFERENCE.items()]
     else:
         raise ValueError(f"unknown table id {args.table}; expected 1 or 2")
-    return records
+    return [
+        {
+            "command": "table", "table": args.table, "n": n, "theta2": theta2, "alpha": alpha,
+            "r": _TABLE_R, "statistic": stat, "computed": computed, "reference": reference,
+        }
+        for n, theta2, alpha, refs, moments in cells
+        for stat, computed, reference in zip(("mean", "variance"), moments, refs)
+    ]
 
 
 def _cmd_simulate(args) -> list[dict]:
@@ -185,16 +175,7 @@ def _cmd_simulate(args) -> list[dict]:
     gos = parse_gos(args.gos)
     seed = args.seed if args.seed is not None else int(os.environ.get("CM_SEED", "0"))
     report = mc_validate(marginal, gos, args.alpha, args.n, args.replicates, RngStream(seed))
-    return [{
-        "command": "simulate", "marginal": report.marginal, "gos": report.gos,
-        "alpha": report.alpha, "n": report.n, "replicates": report.replicates,
-        "seed": report.seed, "empirical_mean": report.empirical_mean,
-        "empirical_variance": report.empirical_variance,
-        "theoretical_mean": report.theoretical_mean,
-        "theoretical_variance": report.theoretical_variance,
-        "analytic_cpi": report.analytic_cpi, "bias": report.bias,
-        "ks_normality": report.ks_normality,
-    }]
+    return [{"command": "simulate", **dataclasses.asdict(report)}]
 
 
 def main(argv=None) -> int:
@@ -212,6 +193,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"cmeasure: {exc}", file=sys.stderr)
         return 1
+    except QuadratureError as exc:
+        print(f"cmeasure: numerical failure: {exc}", file=sys.stderr)
+        return 3
     _emit(records, fields, args.format, args.paper_precision)
     return 0
 

@@ -14,24 +14,15 @@ exactly as alpha C* is positive or negative.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .fgm import FgmModel, GosParams, c_star
-from .inaccuracy import MeasureResult, _best_effort_quadrature, _measure_interval
-from .marginals import (
-    Exponential,
-    GeneralizedExponential,
-    InverseWeibull,
-    MarginalFamily,
-    Uniform,
-)
-from .numerics import integrate, trigamma
+from .inaccuracy import MeasureResult
+from .marginals import log_cdf_integral
+from .numerics import integrate, integrate_best_effort
 
 __all__ = [
     "cpi_gos",
-    "closed_form_cpi",
     "reversed_cpi",
     "check_cpi_bounds",
 ]
@@ -54,37 +45,9 @@ def cpi_gos(model: FgmModel, p: GosParams, method: str = "closed_form") -> Measu
         err = (1.0 + abs(c)) * m.ce_error_estimate() + 0.5 * abs(c) * m.ce2_error_estimate()
         return MeasureResult(value, "quadrature", err)
     if method == "quadrature":
-        lo, hi = _measure_interval(m)
-
-        def integrand(y):
-            logF = m.log_cdf(y)  # full tail precision; log(cdf) loses it near F = 1
-            F = np.exp(logF)
-            G = F * (1.0 + c * (1.0 - F))
-            return np.where(np.isfinite(logF), -G * logF, 0.0)
-
-        q = integrate(integrand, lo, hi)
+        q = log_cdf_integral(m, lambda F, logF: -(F * (1.0 + c * (1.0 - F))) * logF, integrate)
         return MeasureResult(q.value, "quadrature", q.abs_error_estimate)
     raise ValueError(f"unknown method {method!r}")
-
-
-def closed_form_cpi(marginal: MarginalFamily, coeff: float) -> float:
-    """Family-specific closed forms of CPI for tilt coefficient ``coeff`` = alpha C*."""
-    if isinstance(marginal, Uniform):
-        return marginal.theta / 4.0 + coeff * 5.0 * marginal.theta / 36.0
-    if isinstance(marginal, Exponential):
-        return (math.pi**2 / 6.0 - 1.0) * marginal.theta + coeff * marginal.theta / 4.0
-    if isinstance(marginal, InverseWeibull):
-        if not marginal.beta > 1.0:
-            raise ValueError(f"CPI requires beta > 1, got beta={marginal.beta}")
-        theta, beta = marginal.theta, marginal.beta
-        lead = theta / beta * math.gamma((beta - 1.0) / beta)
-        return lead * (1.0 + coeff * (1.0 - 2.0 ** (1.0 / beta - 1.0)))
-    if isinstance(marginal, GeneralizedExponential):
-        lam, theta = marginal.lam, marginal.theta
-        return lam / theta * (
-            (1.0 + coeff) * trigamma(lam + 1.0) - coeff * trigamma(2.0 * lam + 1.0)
-        )
-    raise ValueError(f"no closed-form CPI for {type(marginal).__name__}")
 
 
 def reversed_cpi(model: FgmModel, p: GosParams) -> MeasureResult:
@@ -100,14 +63,7 @@ def reversed_cpi(model: FgmModel, p: GosParams) -> MeasureResult:
     ce = m.cumulative_entropy()
     if c == 0.0:
         return MeasureResult(ce, "quadrature", m.ce_error_estimate())
-    lo, hi = _measure_interval(m)
-
-    def integrand(y):
-        logF = m.log_cdf(y)
-        F = np.exp(logF)
-        return np.where(np.isfinite(logF), F * np.log1p(c * (1.0 - F)), 0.0)
-
-    q = _best_effort_quadrature(integrand, lo, hi)
+    q = log_cdf_integral(m, lambda F, logF: F * np.log1p(c * (1.0 - F)), integrate_best_effort)
     err = m.ce_error_estimate() + q.abs_error_estimate
     return MeasureResult(ce - q.value, "quadrature", err)
 

@@ -103,14 +103,18 @@ def _estimator_weights(n: int, coeff: float) -> np.ndarray:
     return j * (-np.log(j)) * (1.0 + coeff * (1.0 - j))
 
 
+def _exponential_spacing_means(n: int, rate: float, coeff: float) -> np.ndarray:
+    # weight times mean of spacing j, which for an exponential(rate) sample is
+    # an independent Exp with mean 1/(rate (n-j))
+    return _estimator_weights(n, coeff) / (rate * np.arange(n - 1, 0, -1))
+
+
 def _exponential_moments(n: int, rate: float, coeff: float) -> tuple[float, float]:
-    # spacing j of an exponential(rate) sample ~ Exp with mean 1/(rate (n-j))
-    w = _estimator_weights(n, coeff)
-    mu = w / (rate * np.arange(n - 1, 0, -1))
+    mu = _exponential_spacing_means(n, rate, coeff)
     return float(mu.sum()), float((mu**2).sum())
 
 
-def _uniform_moments(n: int, coeff: float, scale: float = 1.0) -> tuple[float, float]:
+def _uniform_moments(n: int, coeff: float, scale: float) -> tuple[float, float]:
     # spacings of a uniform(0, scale) sample ~ scale * Beta(1, n), treated as
     # independent for the variance (see module docstring)
     w = _estimator_weights(n, coeff)
@@ -124,10 +128,7 @@ def moments_mtbged(n: int, theta2: float, alpha: float, r: int) -> tuple[float, 
     with rate theta2 (the lam = 1 generalized-exponential model)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if not theta2 > 0.0:
-        raise ValueError(f"theta2 must be > 0, got {theta2}")
-    coeff = alpha * (2.0 ** (1 - r) - 1.0)
-    return _exponential_moments(n, theta2, coeff)
+    return theoretical_moments(GeneralizedExponential(theta2), record_value(r), alpha, n)
 
 
 def moments_mtbud(n: int, alpha: float, r: int) -> tuple[float, float]:
@@ -135,8 +136,7 @@ def moments_mtbud(n: int, alpha: float, r: int) -> tuple[float, float]:
     standard uniform marginal."""
     if n < 2:
         raise ValueError("need n >= 2")
-    coeff = alpha * (2.0 ** (1 - r) - 1.0)
-    return _uniform_moments(n, coeff)
+    return theoretical_moments(Uniform(), record_value(r), alpha, n)
 
 
 def theoretical_moments(
@@ -172,9 +172,7 @@ def lyapunov_ratio(n: int, theta2: float, alpha: float, r: int) -> float:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    coeff = alpha * (2.0 ** (1 - r) - 1.0)
-    w = _estimator_weights(n, coeff)
-    mu = w / (theta2 * np.arange(n - 1, 0, -1))
+    mu = _exponential_spacing_means(n, theta2, alpha * c_star(record_value(r)))
     s2 = float((mu**2).sum())
     s3 = 2.0 / math.e * (6.0 - math.e) * float((mu**3).sum())
     return s3 ** (1.0 / 3.0) / math.sqrt(s2)

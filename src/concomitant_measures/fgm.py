@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import MarginalFamily, SpecFormatError, format_marginal
+from .marginals import MarginalFamily, SpecFormatError, parse_fields
 from .numerics import RngStream
 
 __all__ = [
@@ -53,11 +53,12 @@ class GosParams:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
         if not self.k > 0.0:
             raise ValueError(f"k must be > 0, got {self.k}")
-        bad = [j for j in range(1, self.n + 1) if self.gamma(j) <= 0.0]
-        if bad:
+        # gamma_j is monotone in j and gamma_n = k > 0, so any violation
+        # shows at j = 1
+        if not self.gamma(1) > 0.0:
             raise ValueError(
                 f"gamma_j = k + (n-j)(m+1) must be positive for all j; "
-                f"violated at j={bad[0]} for {self!r}"
+                f"violated at j=1 for {self!r}"
             )
 
     def gamma(self, j: int) -> float:
@@ -215,76 +216,41 @@ def extremes_pdf(marginal_y: MarginalFamily, alphas, which: str, y):
 # "r=<int>,n=<int>,m=<real>,k=<real>" plus the shorthands "os:r=<int>,n=<int>"
 # (m=0, k=1) and "record:r=<int>" (m=-1, k=1).
 
+# prefix -> (allowed fields, required fields); "" is the bare form
+_GOS_FORMS = {
+    "os:": ({"r", "n"}, {"r", "n"}),
+    "record:": ({"r"}, {"r"}),
+    "": ({"r", "n", "m", "k"}, {"r", "n"}),
+}
+
 
 def parse_gos(spec: str) -> GosParams:
     text = spec.strip().lower()
     head, sep, rest = text.partition(":")
-    if sep and head == "os":
-        params = _parse_int_fields(rest, spec, {"r", "n"})
-        return order_statistics(params["r"], params["n"])
-    if sep and head == "record":
-        params = _parse_int_fields(rest, spec, {"r"})
-        return record_value(params["r"])
-    if sep:
+    form, rest = (head + sep, rest) if sep else ("", text)
+    if form not in _GOS_FORMS:
         raise SpecFormatError(
             f"unknown GOS shorthand {head!r} at position 0 in {spec!r}; "
             f"expected 'os:', 'record:' or bare r=..,n=..,m=..,k=.."
         )
-    out: dict[str, float] = {}
-    offset = 0
-    for token in text.split(","):
-        key, eq, value = token.partition("=")
-        key = key.strip()
-        if not eq or key not in ("r", "n", "m", "k"):
-            raise SpecFormatError(
-                f"malformed GOS token {token!r} at position {offset} in {spec!r}; "
-                f"expected r=..,n=..,m=..,k=.."
-            )
-        try:
-            out[key] = float(value)
-        except ValueError:
-            raise SpecFormatError(
-                f"GOS field {key!r} has non-numeric value {value.strip()!r} "
-                f"at position {offset} in {spec!r}"
-            ) from None
-        offset += len(token) + 1
-    missing = {"r", "n"} - out.keys()
+    allowed, required = _GOS_FORMS[form]
+    values = parse_fields(rest, spec, len(form), allowed)
+    missing = required - values.keys()
     if missing:
         raise SpecFormatError(f"GOS spec {spec!r} is missing fields {sorted(missing)}")
+    r = _as_index(values, "r", spec)
+    if form == "record:":
+        return record_value(r)
     return GosParams(
-        r=_as_index(out["r"], "r", spec),
-        n=_as_index(out["n"], "n", spec),
-        m=out.get("m", 0.0),
-        k=out.get("k", 1.0),
+        r=r, n=_as_index(values, "n", spec), m=values.get("m", 0.0), k=values.get("k", 1.0)
     )
 
 
-def _parse_int_fields(rest: str, spec: str, required: set[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for token in rest.split(","):
-        key, eq, value = token.partition("=")
-        key = key.strip()
-        if not eq or key not in required:
-            raise SpecFormatError(
-                f"malformed GOS token {token!r} in {spec!r}; expected fields {sorted(required)}"
-            )
-        out[key] = _as_index(value, key, spec)
-    missing = required - out.keys()
-    if missing:
-        raise SpecFormatError(f"GOS spec {spec!r} is missing fields {sorted(missing)}")
-    return out
-
-
-def _as_index(value, key: str, spec: str) -> int:
-    try:
-        fval = float(value)
-    except (TypeError, ValueError):
-        raise SpecFormatError(
-            f"GOS field {key!r} has non-numeric value {value!r} in {spec!r}"
-        ) from None
-    if fval != int(fval):
-        raise SpecFormatError(f"GOS field {key!r} must be an integer, got {value} in {spec!r}")
-    return int(fval)
+def _as_index(values: dict[str, float], key: str, spec: str) -> int:
+    value = values[key]
+    if value != int(value):
+        raise SpecFormatError(f"GOS field {key!r} must be an integer, got {value:g} in {spec!r}")
+    return int(value)
 
 
 def format_gos(p: GosParams) -> str:
@@ -294,7 +260,3 @@ def format_gos(p: GosParams) -> str:
     if p.is_record():
         return f"record:r={p.r}"
     return f"r={p.r},n={p.n},m={p.m:g},k={p.k:g}"
-
-
-def describe_model(model: FgmModel) -> str:
-    return f"{format_marginal(model.marginal_x)} x {format_marginal(model.marginal_y)}, alpha={model.alpha:g}"

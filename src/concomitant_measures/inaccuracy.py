@@ -14,38 +14,21 @@ played against each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fgm import FgmModel, GosParams, c_star, extremes_coefficient
-from .marginals import (
-    Exponential,
-    GeneralizedExponential,
-    InverseWeibull,
-    Logistic,
-    MarginalFamily,
-    Rayleigh,
-    Uniform,
-)
-from .numerics import QuadratureError, digamma, integrate
+from .marginals import MarginalFamily
+from .numerics import integrate, integrate_best_effort
 
 __all__ = [
     "MeasureResult",
-    "LOGISTIC_TILT_CONSTANT",
     "inaccuracy_gos",
-    "closed_form_inaccuracy",
     "reversed_inaccuracy",
     "quantile_form_inaccuracy",
     "extremes_inaccuracy",
 ]
-
-_EULER = 0.5772156649015328606
-
-# Exact value of the logistic tilt constant; 0.6 is its common 1-decimal
-# rounding.  The engine never uses the rounded figure.
-LOGISTIC_TILT_CONSTANT = 0.25 + 0.5 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -61,31 +44,13 @@ class MeasureResult:
     abs_error_estimate: float = 0.0
 
 
-def _measure_interval(m: MarginalFamily) -> tuple[float, float]:
-    # measures are defined on y > 0 regardless of where the support starts
-    return 0.0, m.support()[1]
-
-
 def _safe_log(x):
     return np.log(np.maximum(x, 1e-300))
 
 
-def _best_effort_quadrature(f, lo, hi):
-    """Quadrature that degrades gracefully on slow heavy-tail convergence.
-
-    Reversed measures have no closed-form twin and their result carries an
-    explicit error bound, so when the adaptive scheme exhausts its budget but
-    the accumulated bound is already tight (<= 1e-7 of scale), the best
-    estimate is returned with that larger error estimate instead of raising.
-    Divergence and non-finite integrands still raise.
-    """
-    try:
-        return integrate(f, lo, hi)
-    except QuadratureError as exc:
-        best = exc.best
-        if best is not None and best.abs_error_estimate <= 1e-7 * max(1.0, abs(best.value)):
-            return best
-        raise
+def _decomposition(m: MarginalFamily, c: float) -> MeasureResult:
+    # the inaccuracy of a density tilted by 1 + c (1 - 2 F_Y)
+    return MeasureResult((1.0 + c) * m.shannon_entropy() + 2.0 * c * m.phi_f(), "closed_form")
 
 
 def inaccuracy_gos(model: FgmModel, p: GosParams, method: str = "closed_form") -> MeasureResult:
@@ -98,54 +63,17 @@ def inaccuracy_gos(model: FgmModel, p: GosParams, method: str = "closed_form") -
     c = model.alpha * c_star(p)
     m = model.marginal_y
     if method == "closed_form":
-        value = (1.0 + c) * m.shannon_entropy() + 2.0 * c * m.phi_f()
-        return MeasureResult(value, "closed_form")
+        return _decomposition(m, c)
     if method == "quadrature":
-        lo, hi = _measure_interval(m)
 
         def integrand(y):
             g = m.pdf(y) * (1.0 + c * (1.0 - 2.0 * m.cdf(y)))
             return -g * _safe_log(m.pdf(y))
 
-        q = integrate(integrand, lo, hi)
+        # measures are defined on y > 0 regardless of where the support starts
+        q = integrate(integrand, 0.0, m.support()[1])
         return MeasureResult(q.value, "quadrature", q.abs_error_estimate)
     raise ValueError(f"unknown method {method!r}")
-
-
-def closed_form_inaccuracy(marginal: MarginalFamily, coeff: float) -> float:
-    """Family-specific closed forms of I for tilt coefficient ``coeff`` = alpha C*.
-
-    These are written out as published-style display formulas, independent of
-    the generic H/phi composition, so tests can cross-check the two.
-    """
-    if isinstance(marginal, Exponential):
-        return (1.0 + math.log(marginal.theta)) - 0.5 * coeff
-    if isinstance(marginal, Logistic):
-        return 1.0 - coeff * LOGISTIC_TILT_CONSTANT
-    if isinstance(marginal, Rayleigh):
-        return (
-            coeff * (math.log(math.sqrt(2.0)) - 0.5)
-            + 1.0
-            + 0.5 * _EULER
-            + math.log(marginal.sigma / math.sqrt(2.0))
-        )
-    if isinstance(marginal, GeneralizedExponential):
-        lam, theta = marginal.lam, marginal.theta
-        B = lambda l: digamma(l + 1.0) - digamma(1.0)  # noqa: E731
-        D = B(2.0 * lam) - B(lam)
-        return (
-            -math.log(lam * theta)
-            + B(lam)
-            - coeff * D
-            + (lam - 1.0) / lam * (1.0 + 0.5 * coeff)
-        )
-    if isinstance(marginal, Uniform):
-        # the tilt integrates out exactly: I = H(Y) for every coefficient
-        return math.log(marginal.theta)
-    if isinstance(marginal, InverseWeibull):
-        H = marginal.shannon_entropy()
-        return H + coeff * (0.5 - (1.0 + 1.0 / marginal.beta) * math.log(2.0))
-    raise ValueError(f"no closed-form inaccuracy for {type(marginal).__name__}")
 
 
 def reversed_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
@@ -161,7 +89,7 @@ def reversed_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
     if c == 0.0:
         return MeasureResult(H, "quadrature", 0.0)
     u0 = m.u_lower()
-    q = _best_effort_quadrature(lambda u: np.log1p(c * (1.0 - 2.0 * u)), u0, 1.0)
+    q = integrate_best_effort(lambda u: np.log1p(c * (1.0 - 2.0 * u)), u0, 1.0)
     return MeasureResult(H - q.value, "quadrature", q.abs_error_estimate)
 
 
@@ -182,7 +110,7 @@ def quantile_form_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
         log_q = -_safe_log(m.pdf(m.quantile(uu)))
         return np.where(interior, log_q * (1.0 + c * (1.0 - 2.0 * uu)), 0.0)
 
-    q = _best_effort_quadrature(integrand, u0, 1.0)
+    q = integrate_best_effort(integrand, u0, 1.0)
     return MeasureResult(q.value, "quantile_form", q.abs_error_estimate)
 
 
@@ -191,6 +119,4 @@ def extremes_inaccuracy(marginal_y: MarginalFamily, alphas, which: str) -> Measu
 
     Satisfies I_min + I_max = 2 H(Y) identically.
     """
-    s = extremes_coefficient(alphas, which)
-    value = (1.0 + s) * marginal_y.shannon_entropy() + 2.0 * s * marginal_y.phi_f()
-    return MeasureResult(value, "closed_form")
+    return _decomposition(marginal_y, extremes_coefficient(alphas, which))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -42,6 +42,8 @@ __all__ = [
     "InverseWeibull",
     "MARGINAL_FAMILIES",
     "SpecFormatError",
+    "log_cdf_integral",
+    "parse_fields",
     "parse_marginal",
     "format_marginal",
 ]
@@ -60,6 +62,12 @@ def _as_array(y):
 
 def _ret(arr, scalar):
     return float(arr) if scalar else arr
+
+
+def _log1mexp(t):
+    """log(1 - e^(-t)) for t >= 0 with full relative precision as t -> inf
+    (the deep cdf tail); floored at log(1e-300) at t = 0."""
+    return np.log(np.maximum(-np.expm1(-t), 1e-300))
 
 
 class MarginalFamily:
@@ -96,16 +104,25 @@ class MarginalFamily:
         return 0.0 if type(self).ce_exact else _ce_quadrature(self, 2).abs_error_estimate
 
 
-@functools.lru_cache(maxsize=None)
-def _ce_quadrature(m: MarginalFamily, power: int) -> QuadratureResult:
-    hi = m.support()[1]
+def log_cdf_integral(m: MarginalFamily, term: Callable, quad: Callable) -> QuadratureResult:
+    """``quad`` of term(F, log F) over y in (0, hi), the measure domain.
+
+    F = exp(log F) comes from the family's tail-accurate ``log_cdf`` (log of
+    ``cdf`` loses the tail where F rounds to 1); nodes with F = 0 contribute
+    zero, the 0 log 0 = 0 convention.
+    """
 
     def integrand(y):
         logF = m.log_cdf(y)
-        # F^p log F via exp(p log F); the 0 log 0 = 0 convention at logF = -inf
-        return np.where(np.isfinite(logF), -power * np.exp(power * logF) * logF, 0.0)
+        return np.where(np.isfinite(logF), term(np.exp(logF), logF), 0.0)
 
-    return integrate(integrand, 0.0, hi)
+    return quad(integrand, 0.0, m.support()[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _ce_quadrature(m: MarginalFamily, power: int) -> QuadratureResult:
+    # -F^p log F^p with F^p = exp(p log F)
+    return log_cdf_integral(m, lambda F, logF: -power * np.exp(power * logF) * logF, integrate)
 
 
 @dataclass(frozen=True)
@@ -137,8 +154,7 @@ class Exponential(MarginalFamily):
     def log_cdf(self, y):
         y, s = _as_array(y)
         t = np.maximum(y, 0.0) / self.theta
-        core = np.log(np.maximum(-np.expm1(-t), 1e-300))
-        return _ret(np.where(y > 0.0, core, -np.inf), s)
+        return _ret(np.where(y > 0.0, _log1mexp(t), -np.inf), s)
 
     def shannon_entropy(self):
         return 1.0 + math.log(self.theta)
@@ -224,8 +240,7 @@ class Rayleigh(MarginalFamily):
     def log_cdf(self, y):
         y, s = _as_array(y)
         t = np.maximum(y, 0.0) ** 2 / (2.0 * self.sigma**2)
-        core = np.log(np.maximum(-np.expm1(-t), 1e-300))
-        return _ret(np.where(y > 0.0, core, -np.inf), s)
+        return _ret(np.where(y > 0.0, _log1mexp(t), -np.inf), s)
 
     def shannon_entropy(self):
         return 1.0 + 0.5 * _EULER + math.log(self.sigma / math.sqrt(2.0))
@@ -275,8 +290,7 @@ class GeneralizedExponential(MarginalFamily):
     def log_cdf(self, y):
         y, s = _as_array(y)
         t = self.theta * np.maximum(y, 0.0)
-        core = np.log(np.maximum(-np.expm1(-t), 1e-300))
-        return _ret(np.where(y > 0.0, self.lam * core, -np.inf), s)
+        return _ret(np.where(y > 0.0, self.lam * _log1mexp(t), -np.inf), s)
 
     def shannon_entropy(self):
         B = digamma(self.lam + 1.0) + _EULER
@@ -436,8 +450,44 @@ MARGINAL_FAMILIES = {
 _ALIASES = {"lambda": "lam"}
 
 
+def parse_fields(text: str, spec: str, start: int, allowed: set[str]) -> dict[str, float]:
+    """Parse ``text`` = "name=value,..." into finite floats keyed by name.
+
+    ``text`` is the part of ``spec`` that begins at index ``start``; errors
+    name the offending token and its position in ``spec``.  Names are
+    case-insensitive ("lambda" is read as "lam") and must be in ``allowed``.
+    Blank text has no fields.
+    """
+    out: dict[str, float] = {}
+    if not text.strip():
+        return out
+    pos = start
+    for token in text.split(","):
+        name, eq, value = token.partition("=")
+        name = name.strip().lower()
+        key = _ALIASES.get(name, name)
+        where = f"at position {pos} in {spec!r}"
+        if not eq or not key:
+            raise SpecFormatError(f"malformed parameter token {token!r} {where}; expected name=value")
+        if key not in allowed:
+            raise SpecFormatError(
+                f"unknown parameter {name!r} {where}; allowed: {', '.join(sorted(allowed)) or 'none'}"
+            )
+        try:
+            number = float(value)
+        except ValueError:
+            raise SpecFormatError(
+                f"parameter {key!r} has non-numeric value {value.strip()!r} {where}"
+            ) from None
+        if not math.isfinite(number):
+            raise SpecFormatError(f"parameter {key!r} has non-finite value {value.strip()!r} {where}")
+        out[key] = number
+        pos += len(token) + 1
+    return out
+
+
 def parse_marginal(spec: str) -> MarginalFamily:
-    name, sep, rest = spec.partition(":")
+    name, _, rest = spec.partition(":")
     name = name.strip().lower()
     cls = MARGINAL_FAMILIES.get(name)
     if cls is None:
@@ -445,33 +495,7 @@ def parse_marginal(spec: str) -> MarginalFamily:
             f"unknown marginal family {name!r} at position 0 in {spec!r}; "
             f"expected one of {sorted(MARGINAL_FAMILIES)}"
         )
-    kwargs = {}
-    if sep and rest.strip():
-        offset = len(name) + 1
-        for token in rest.split(","):
-            key, eq, value = token.partition("=")
-            key = key.strip().lower()
-            key = _ALIASES.get(key, key)
-            if not eq or not key:
-                raise SpecFormatError(
-                    f"malformed parameter token {token!r} at position {offset} in {spec!r}; "
-                    f"expected name=value"
-                )
-            field_names = {f.name for f in fields(cls)}
-            if key not in field_names:
-                raise SpecFormatError(
-                    f"unknown parameter {key!r} at position {offset} in {spec!r}; "
-                    f"{name} takes {sorted(field_names) or 'no parameters'}"
-                )
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise SpecFormatError(
-                    f"parameter {key!r} has non-numeric value {value.strip()!r} "
-                    f"at position {offset} in {spec!r}"
-                ) from None
-            offset += len(token) + 1
-    return cls(**kwargs)
+    return cls(**parse_fields(rest, spec, len(name) + 1, {f.name for f in fields(cls)}))
 
 
 def format_marginal(m: MarginalFamily) -> str:

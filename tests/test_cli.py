@@ -102,6 +102,41 @@ class TestMeasure:
         assert out == ""
         assert "unknown parameter 'thet'" in err
 
+    @pytest.mark.parametrize("marginal, gos", [
+        ("exponential:theta=inf", "os:r=1,n=3"),
+        ("exponential:theta=nan", "os:r=1,n=3"),
+        ("exponential:theta=1", "r=1,n=3,m=inf,k=1"),
+        ("exponential:theta=1", "r=inf,n=3"),
+        ("exponential:theta=1", "record:r=inf"),
+    ])
+    def test_non_finite_spec_value_exit_2(self, capsys, marginal, gos):
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", marginal, "--gos", gos, "--alpha", "0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite value" in err
+
+    def test_large_n_does_not_hang(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1",
+            "--gos", "r=1,n=1e9", "--alpha", "0.5", "--measure", "inaccuracy",
+        )
+        assert code == 0
+        assert parse_csv(out)[0]["gos"] == "os:r=1,n=1000000000"
+
+    def test_numerical_failure_exit_3(self, capsys):
+        # the heavy tail at beta = 1.2 exhausts the quadrature budget
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", "invweibull:theta=1,beta=1.2",
+            "--gos", "os:r=1,n=3", "--alpha", "0.5", "--measure", "reversed_cpi",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("cmeasure: numerical failure: ")
+        assert "best estimate" in err
+        assert "Traceback" not in err
+
     def test_domain_error_exit_1(self, capsys):
         code, out, err = run_cli(
             capsys, "measure", "--marginal", "exponential:theta=1",

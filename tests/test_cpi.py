@@ -7,7 +7,6 @@ import pytest
 
 from concomitant_measures.cpi import (
     check_cpi_bounds,
-    closed_form_cpi,
     cpi_gos,
     reversed_cpi,
 )
@@ -27,6 +26,7 @@ from concomitant_measures.marginals import (
     Uniform,
 )
 from concomitant_measures.numerics import integrate
+from oracles import closed_form_cpi
 
 FAMILIES = [
     Exponential(1.3),

@@ -60,6 +60,14 @@ class TestCStar:
         with pytest.raises(ValueError, match="gamma"):
             GosParams(1, 3, -2.0, 1.0)
 
+    def test_huge_n_constructs_in_constant_time(self):
+        assert GosParams(r=1, n=10**12).gamma(1) == 10**12
+
+    def test_gamma_violation_reported_at_j1(self):
+        # gamma_j increases with j when m < -1, so j = 1 is the first violation
+        with pytest.raises(ValueError, match="violated at j=1 "):
+            GosParams(2, 10**9, -1.5, 1.0)
+
     def test_gos_params_validation(self):
         with pytest.raises(ValueError):
             GosParams(0, 3)

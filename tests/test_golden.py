@@ -124,16 +124,9 @@ def run_cli(argv):
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def run_library(call):
-    try:
-        return repr(call())
-    except (ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 def compute_grid():
     grid = {" ".join(argv): run_cli(argv) for argv in cli_cases()}
-    grid.update((key, run_library(call)) for key, call in library_cases())
+    grid.update((key, repr(call())) for key, call in library_cases())
     return grid
 
 

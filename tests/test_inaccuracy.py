@@ -20,8 +20,6 @@ from concomitant_measures.fgm import (
     record_value,
 )
 from concomitant_measures.inaccuracy import (
-    LOGISTIC_TILT_CONSTANT,
-    closed_form_inaccuracy,
     extremes_inaccuracy,
     inaccuracy_gos,
     quantile_form_inaccuracy,
@@ -36,6 +34,7 @@ from concomitant_measures.marginals import (
     Uniform,
 )
 from concomitant_measures.numerics import digamma, integrate
+from oracles import LOGISTIC_TILT_CONSTANT, closed_form_inaccuracy
 
 EULER = 0.5772156649015328606
 
