@@ -81,7 +81,9 @@ def check_cpi_bounds(model: FgmModel, p: GosParams) -> str:
     m = model.marginal_y
     ce = m.cumulative_entropy()
     gap = c * (ce - 0.5 * m.cumulative_entropy_max2())
-    tol = 1e-12 * max(1.0, abs(ce))
+    # relative to CE: the measures scale with the marginal, and C* can round
+    # to ~1e-16 instead of 0 where it vanishes (r = (n+1)/2)
+    tol = 1e-12 * abs(ce)
     if abs(gap) <= tol:
         return "equal"
     return "above_CE" if gap > 0.0 else "below_CE"

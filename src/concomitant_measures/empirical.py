@@ -274,11 +274,12 @@ def mc_validate(
     if n < 2:
         raise ValueError("need n >= 2")
     model = FgmModel(marginal_x=marginal, marginal_y=marginal, alpha=alpha)
+    # empirical_cpi of each replicate, with its weights computed once
+    w = _estimator_weights(n, alpha * c_star(p))
     vals = np.empty(replicates)
     for i in range(replicates):
-        sub = stream.substream(i)
-        y = marginal.quantile(sub.uniforms(n))
-        vals[i] = empirical_cpi(y, alpha, p)
+        y = marginal.quantile(stream.substream(i).uniforms(n))
+        vals[i] = np.sum(np.diff(np.sort(y)) * w)
     emp_mean = float(vals.mean())
     emp_var = float(vals.var(ddof=1))
     mo = theoretical_moments(marginal, p, alpha, n)

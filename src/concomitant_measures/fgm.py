@@ -13,6 +13,7 @@ which reduces to (n - 2r + 1)/(n + 1) for ordinary order statistics
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ class GosParams:
             raise ValueError("r and n must be integers")
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
+        for name in ("m", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.k > 0.0:
             raise ValueError(f"k must be > 0, got {self.k}")
         # gamma_j is monotone in j and gamma_n = k > 0, so any violation
@@ -81,12 +85,26 @@ def record_value(r: int) -> GosParams:
     return GosParams(r=r, n=r, m=-1.0, k=1.0)
 
 
+# c_star multiplies this many factors per numpy call, which bounds its memory
+_C_STAR_BLOCK = 1 << 16
+
+
 def c_star(p: GosParams) -> float:
-    """Concomitant coefficient C*(r, n, m, k); always inside [-1, 1]."""
+    """Concomitant coefficient C*(r, n, m, k); always inside [-1, 1].
+
+    The product is accumulated left to right in j, factor by factor, so it
+    rounds exactly as the plain loop does; the closed forms for order
+    statistics and records differ from it in the last bits.
+    """
+    # n - j is formed exactly and then rounded once, as in the loop; an n
+    # beyond int64 needs Python integers for that
+    dtype = np.int64 if p.n < 2**63 else object
     prod = 1.0
-    for j in range(1, p.r + 1):
-        g = p.gamma(j)
-        prod *= g / (g + 1.0)
+    for start in range(1, p.r + 1, _C_STAR_BLOCK):
+        g = p.gamma(np.arange(start, min(start + _C_STAR_BLOCK, p.r + 1), dtype=dtype))
+        factors = g / (g + 1.0)
+        factors[0] *= prod
+        prod = float(np.multiply.accumulate(factors)[-1])
     return 2.0 * prod - 1.0
 
 

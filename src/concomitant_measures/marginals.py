@@ -75,6 +75,15 @@ class MarginalFamily:
 
     ce_exact: ClassVar[bool] = True
 
+    def __post_init__(self):
+        # every family parameter is a scale or a shape: finite and positive
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if not value > 0.0:
+                raise ValueError(f"{f.name} must be > 0, got {value}")
+
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
@@ -130,10 +139,6 @@ class Exponential(MarginalFamily):
     """Exponential with scale theta: F(y) = 1 - exp(-y/theta)."""
 
     theta: float = 1.0
-
-    def __post_init__(self):
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
 
     def support(self):
         return (0.0, math.inf)
@@ -216,10 +221,6 @@ class Rayleigh(MarginalFamily):
     sigma: float = 1.0
     ce_exact: ClassVar[bool] = False
 
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
     def support(self):
         return (0.0, math.inf)
 
@@ -260,12 +261,6 @@ class GeneralizedExponential(MarginalFamily):
 
     theta: float = 1.0
     lam: float = 1.0
-
-    def __post_init__(self):
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
 
     def support(self):
         return (0.0, math.inf)
@@ -316,10 +311,6 @@ class Uniform(MarginalFamily):
 
     theta: float = 1.0
 
-    def __post_init__(self):
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-
     def support(self):
         return (0.0, self.theta)
 
@@ -365,12 +356,6 @@ class InverseWeibull(MarginalFamily):
 
     theta: float = 1.0
     beta: float = 2.0
-
-    def __post_init__(self):
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
 
     def support(self):
         return (0.0, math.inf)

@@ -1,11 +1,18 @@
-"""Published-style closed forms of the measures, one family at a time.
+"""Reference implementations the library is tested against.
 
-They are written out independently of the generic H/phi and CE/CE2
-compositions of the library, so tests can cross-check the two.  ``coeff`` is
-the tilt coefficient alpha C*.
+- Published-style closed forms of the measures, one family at a time.  They
+  are written out independently of the generic H/phi and CE/CE2 compositions
+  of the library, so tests can cross-check the two.  ``coeff`` is the tilt
+  coefficient alpha C*.
+- ``c_star_loop``: C* as the plain product loop over j = 1..r.
+- ``integrate_per_panel``: the adaptive G7/K15 scheme with one integrand call
+  per panel, the reference for the batched evaluation in ``numerics``.
 """
 
+import heapq
 import math
+
+import numpy as np
 
 from concomitant_measures.marginals import (
     Exponential,
@@ -15,7 +22,15 @@ from concomitant_measures.marginals import (
     Rayleigh,
     Uniform,
 )
-from concomitant_measures.numerics import digamma, trigamma
+from concomitant_measures.numerics import (
+    _WG,
+    _WGK,
+    _XGK,
+    QuadratureError,
+    QuadratureResult,
+    digamma,
+    trigamma,
+)
 
 EULER = 0.5772156649015328606
 
@@ -74,3 +89,89 @@ def closed_form_cpi(marginal, coeff: float) -> float:
             (1.0 + coeff) * trigamma(lam + 1.0) - coeff * trigamma(2.0 * lam + 1.0)
         )
     raise ValueError(f"no closed-form CPI for {type(marginal).__name__}")
+
+
+def c_star_loop(r: int, n: int, m: float, k: float) -> float:
+    """C* = 2 prod_{j<=r} gamma_j / (gamma_j + 1) - 1, multiplied left to right."""
+    prod = 1.0
+    for j in range(1, r + 1):
+        g = k + (n - j) * (m + 1.0)
+        prod *= g / (g + 1.0)
+    return 2.0 * prod - 1.0
+
+
+def _kronrod_panel(f, lo, hi):
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    x = mid + half * _XGK
+    with np.errstate(all="ignore"):
+        fx = np.asarray(f(x), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        bad = x[~np.isfinite(fx)][0]
+        raise QuadratureError(f"integrand returned a non-finite value at y={bad!r}")
+    resk = float(_WGK @ fx)
+    resg = float(_WG @ fx[1::2])
+    resabs = float(_WGK @ np.abs(fx))
+    reskh = 0.5 * resk
+    resasc = float(_WGK @ np.abs(fx - reskh))
+    err = abs(resk - resg) * half
+    resasc *= half
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    err = max(err, 50.0 * np.finfo(float).eps * resabs * half)
+    return resk * half, err
+
+
+def integrate_per_panel(f, lo, hi, rel_tol=1e-10, abs_tol=1e-12, max_intervals=2000):
+    """``numerics.integrate`` as it was with one 15-node integrand call per
+    panel and the non-finite checks inside the semi-infinite map."""
+    if math.isinf(hi):
+        inner = f
+
+        def f(t, _g=inner, _lo=lo):
+            w = 1.0 - t
+            dead = w < 1e-16
+            wsafe = np.where(dead, 1.0, w)
+            with np.errstate(all="ignore"):
+                y = _lo + t / wsafe
+                fy = np.asarray(_g(y), dtype=float)
+            if not np.all(np.isfinite(fy)):
+                bad = y[~np.isfinite(fy)][0]
+                raise QuadratureError(f"integrand returned a non-finite value at y={bad!r}")
+            with np.errstate(all="ignore"):
+                return np.where(dead, 0.0, fy / (wsafe * wsafe))
+
+        lo, hi = 0.0, 1.0
+
+    evals = 15
+    val, err = _kronrod_panel(f, lo, hi)
+    heap = [(-err, lo, hi, val, err)]
+    total_val, total_err = val, err
+    half_budget_val = None
+
+    while total_err > max(abs_tol, rel_tol * abs(total_val)):
+        if len(heap) >= max_intervals:
+            best = QuadratureResult(total_val, total_err, evals)
+            diverging = (
+                half_budget_val is not None
+                and abs(total_val) > 1.1 * max(abs(half_budget_val), abs_tol)
+            )
+            reason = "integral appears divergent" if diverging else "tolerance not reached"
+            raise QuadratureError(
+                f"{reason} after {evals} evaluations "
+                f"(best estimate {total_val!r} +/- {total_err:.3e})",
+                best=best,
+            )
+        _, a, b, v, e = heapq.heappop(heap)
+        m = 0.5 * (a + b)
+        v1, e1 = _kronrod_panel(f, a, m)
+        v2, e2 = _kronrod_panel(f, m, b)
+        evals += 30
+        total_val += v1 + v2 - v
+        total_err += e1 + e2 - e
+        heapq.heappush(heap, (-e1, a, m, v1, e1))
+        heapq.heappush(heap, (-e2, m, b, v2, e2))
+        if half_budget_val is None and len(heap) >= max_intervals // 2:
+            half_budget_val = total_val
+
+    return QuadratureResult(total_val, total_err, evals)

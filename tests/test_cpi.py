@@ -189,6 +189,13 @@ class TestBounds:
     def test_record_below(self):
         assert check_cpi_bounds(model(Exponential(1.0), 1.0), record_value(2)) == "below_CE"
 
+    def test_tolerance_scales_with_ce(self):
+        # CE = 6.45e-14 and CPI = 7.07e-14: far below 1e-12, yet not equal
+        mdl = model(Exponential(1e-13), 0.5)
+        p = order_statistics(1, 3)
+        assert cpi_gos(mdl, p).value > mdl.marginal_y.cumulative_entropy()
+        assert check_cpi_bounds(mdl, p) == "above_CE"
+
     def test_order_statistics_proposition_grid(self):
         # r <= (n+1)/2: below CE for alpha < 0, above for alpha > 0
         for m in FAMILIES:

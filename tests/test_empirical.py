@@ -25,7 +25,7 @@ from concomitant_measures.empirical import (
     study,
     theoretical_moments,
 )
-from concomitant_measures.fgm import order_statistics, record_value
+from concomitant_measures.fgm import GosParams, order_statistics, record_value
 from concomitant_measures.marginals import (
     Exponential,
     GeneralizedExponential,
@@ -251,6 +251,18 @@ class TestMcValidate:
         a = mc_validate(Uniform(1.0), record_value(2), -1.0, 10, 200, RngStream(4))
         b = mc_validate(Uniform(1.0), record_value(2), -1.0, 10, 200, RngStream(4))
         assert a == b
+
+    @pytest.mark.parametrize("marginal, p, alpha", [
+        (Exponential(1.3), record_value(3), 0.5),
+        (Rayleigh(2.0), GosParams(2, 9, -0.5, 2.0), -1.0),
+    ])
+    def test_replicates_are_empirical_cpi_of_their_substreams(self, marginal, p, alpha):
+        stream = RngStream(11, 3)
+        vals = np.array([empirical_cpi(marginal.quantile(stream.substream(i).uniforms(25)), alpha, p)
+                         for i in range(120)])
+        report = mc_validate(marginal, p, alpha, 25, 120, RngStream(11, 3))
+        assert report.empirical_mean == float(vals.mean())
+        assert report.empirical_variance == float(vals.var(ddof=1))
 
     def test_mtbud_mean_matches_reference(self):
         report = mc_validate(Uniform(1.0), record_value(2), -1.0, 10, 10_000, RngStream(7))

@@ -26,6 +26,7 @@ from concomitant_measures.fgm import (
 )
 from concomitant_measures.marginals import Exponential, SpecFormatError, Uniform
 from concomitant_measures.numerics import RngStream, integrate
+from oracles import c_star_loop
 
 
 class TestCStar:
@@ -56,6 +57,15 @@ class TestCStar:
                     assert all(abs(v) <= 1.0 for v in values)
                     assert all(a >= b - 1e-14 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("r", [1, 2, 7, 1000, 65_536, 65_537, 100_000])
+    def test_bitwise_equal_to_the_loop(self, r):
+        # the closed forms are a few ulps off the loop; c_star must not be
+        for n, m, k in [(r, 0.0, 1.0), (r, -1.0, 1.0), (2 * r + 1, 0.0, 1.0), (10**12, 0.0, 1.0),
+                        (3 * r, -0.5, 2.0), (r + 5, 2.5, 0.3), (10**19, 0.5, 1.0)]:
+            value = c_star(GosParams(r, n, m, k))
+            assert type(value) is float
+            assert value == c_star_loop(r, n, m, k), (r, n, m, k)
+
     def test_invalid_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             GosParams(1, 3, -2.0, 1.0)
@@ -77,6 +87,12 @@ class TestCStar:
             GosParams(1, 3, 0.0, 0.0)
         with pytest.raises(ValueError):
             GosParams(1.5, 3)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("m, k, name", [(math.inf, 1.0, "m"), (0.0, math.inf, "k"),
+                                            (math.nan, 1.0, "m"), (0.0, math.nan, "k")])
+    def test_non_finite_m_and_k_rejected(self, m, k, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            GosParams(1, 3, m, k)
 
 
 class TestFgmModel:

@@ -222,6 +222,18 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             InverseWeibull(1.0, 0.0)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: Exponential(math.inf), "theta"),
+        (lambda: Rayleigh(math.nan), "sigma"),
+        (lambda: InverseWeibull(beta=math.inf), "beta"),
+        (lambda: InverseWeibull(theta=-math.inf), "theta"),
+        (lambda: GeneralizedExponential(1.0, math.nan), "lam"),
+        (lambda: Uniform(math.inf), "theta"),
+    ])
+    def test_non_finite_parameters_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make()
+
     def test_invweibull_ce_requires_beta_above_1(self):
         m = InverseWeibull(1.0, 0.9)
         with pytest.raises(ValueError, match="beta"):

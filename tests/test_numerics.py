@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concomitant_measures.marginals import InverseWeibull, log_cdf_integral
 from concomitant_measures.numerics import (
+    _XGK,
     QuadratureError,
     RngStream,
     digamma,
     integrate,
     trigamma,
 )
+from oracles import integrate_per_panel
 
 EULER = 0.5772156649015328606
 
@@ -102,6 +105,116 @@ class TestIntegrate:
         rhs = a * integrate(f, 0.0, 1.0).value + b * integrate(g, 0.0, 1.0).value
         tol = 10.0 * max(1e-12, 1e-10 * abs(rhs))
         assert lhs.value == pytest.approx(rhs, abs=tol)
+
+
+def _nan_in_dead_zone():
+    """(1 + y)^-1.2 on [0, inf), NaN at y = 1 on every call but the first.
+
+    y = 1 is the mapped midpoint t = 1/2, a node of the first panel only and
+    an endpoint after that.  Later calls reach y = 1 only at nodes that round
+    onto t = 1, where the map falls back to y = lo + t: the dead zone."""
+    calls = []
+
+    def f(y):
+        calls.append(None)
+        out = (1.0 + y) ** -1.2
+        return out if len(calls) == 1 else np.where(y == 1.0, np.nan, out)
+
+    return f
+
+
+def _nodes(lo, hi):
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _XGK
+
+
+# the first bisection of (0, 1): one node in each half
+_LEFT_NODE, _RIGHT_NODE = _nodes(0.0, 0.5)[3], _nodes(0.5, 1.0)[10]
+
+# (integrand factory, lo, hi, keyword arguments); a factory because some
+# integrands count their calls
+BATCHING_CORPUS = {
+    "smooth": (lambda: lambda u: np.sin(3.0 * u) + np.exp(-u) * u, -1.0, 2.5, {}),
+    "smooth_tight": (lambda: lambda u: np.cos(7.0 * u) ** 2, 0.0, 4.0, {"rel_tol": 1e-13}),
+    "log_endpoint": (lambda: lambda u: u * np.log1p(-u), 0.0, 1.0, {}),
+    "plain_log": (lambda: np.log, 0.0, 1.0, {}),
+    "semi_infinite_shifted": (lambda: lambda y: np.exp(-(y - 2.0)) * np.log1p(y), 2.0, math.inf, {}),
+    "semi_infinite_negative_lo": (lambda: lambda y: np.exp(-0.5 * y * y), -1.5, math.inf, {}),
+    "heavy_tail_shifted": (lambda: lambda y: (1.0 + y * y) ** -0.8, 0.5, math.inf,
+                           {"max_intervals": 300}),
+    "budget_exhausted": (lambda: lambda u: 1.0 / np.sqrt(u), 0.0, 1.0,
+                         {"rel_tol": 1e-14, "abs_tol": 1e-16, "max_intervals": 30}),
+    "divergent": (lambda: lambda u: 1.0 / u, 0.0, 1.0, {"max_intervals": 150}),
+    "nan_at_finite_node": (lambda: lambda y: np.where(np.abs(y - 0.3) < 0.005, np.nan, 1.0), 0.0, 1.0, {}),
+    "nan_in_both_halves": (
+        lambda: lambda y: np.where(np.isin(y, [_LEFT_NODE, _RIGHT_NODE]), np.nan, np.log(y)), 0.0, 1.0, {}
+    ),
+    "inf_in_right_half": (lambda: lambda y: np.where(y == _RIGHT_NODE, np.inf, np.log(y)), 0.0, 1.0, {}),
+    "nan_at_mapped_node": (lambda: lambda y: np.where(y > 50.0, np.nan, np.exp(-y)), 0.0, math.inf, {}),
+    "nan_in_dead_zone": (_nan_in_dead_zone, 0.0, math.inf, {}),
+    "jacobian_overflow": (lambda: lambda y: np.full_like(y, 1e300), 0.0, math.inf, {}),
+}
+
+
+def _outcome(integrator, factory, lo, hi, kwargs):
+    try:
+        return integrator(factory(), lo, hi, **kwargs)
+    except QuadratureError as exc:
+        return (str(exc), exc.best)
+
+
+def _same(a, b):
+    """Equal with every float bitwise the same and of the same type."""
+    return repr(a) == repr(b) and a == b
+
+
+class TestBatchedEvaluation:
+    """``integrate`` evaluates both halves of a bisection in one integrand
+    call; the sequential scheme with one call per panel is the reference,
+    and every result, error message and best estimate must equal it."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHING_CORPUS))
+    def test_bitwise_equal_to_per_panel_reference(self, name):
+        factory, lo, hi, kwargs = BATCHING_CORPUS[name]
+        assert _same(_outcome(integrate, factory, lo, hi, kwargs),
+                     _outcome(integrate_per_panel, factory, lo, hi, kwargs))
+
+    def test_corpus_reaches_the_error_paths(self):
+        outcomes = {name: _outcome(integrate, *case) for name, case in BATCHING_CORPUS.items()}
+        assert outcomes["nan_in_both_halves"][0].endswith(f"y={_LEFT_NODE!r}")
+        assert outcomes["inf_in_right_half"][0].endswith(f"y={_RIGHT_NODE!r}")
+        assert outcomes["nan_in_dead_zone"][0].endswith("y=np.float64(1.0)")
+        # the message names the node in y, not in the mapped variable t
+        assert float(outcomes["nan_at_mapped_node"][0].split("(")[-1].rstrip(")")) > 50.0
+        assert "divergent" in outcomes["divergent"][0]
+        assert outcomes["budget_exhausted"][1] is not None
+
+    def test_heavy_tail_budget_exhaustion(self):
+        # CE of InverseWeibull(beta=1.2): the y^-1.2 tail exhausts the budget
+        m = InverseWeibull(1.0, 1.2)
+        term = lambda F, logF: -F * logF  # noqa: E731
+        outcomes = []
+        for integrator in (integrate, integrate_per_panel):
+            with pytest.raises(QuadratureError, match="tolerance not reached") as info:
+                log_cdf_integral(m, term, integrator)
+            outcomes.append((str(info.value), info.value.best))
+        assert _same(*outcomes)
+        assert outcomes[0][1].evaluations == 59_985
+
+    @pytest.mark.parametrize("name", ["smooth", "log_endpoint", "semi_infinite_shifted", "budget_exhausted"])
+    def test_one_call_per_bisection(self, name):
+        factory, lo, hi, kwargs = BATCHING_CORPUS[name]
+        inner = factory()
+        sizes = []
+
+        def f(x):
+            assert x.ndim == 1
+            sizes.append(x.size)
+            return inner(x)
+
+        result = _outcome(integrate, lambda: f, lo, hi, kwargs)
+        evaluations = result[1].evaluations if isinstance(result, tuple) else result.evaluations
+        assert len(sizes) == 1 + (evaluations - 15) // 30
+        assert sizes == [15] + [30] * (len(sizes) - 1)
 
 
 class TestPsi:
