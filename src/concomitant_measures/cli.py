@@ -15,9 +15,9 @@ Floats are printed with 15 significant digits; --paper-precision rounds to 3
 decimals for diffing against the reference tables.  The seed falls back to
 the CM_SEED environment variable, then to 0.
 
-Exit codes: 0 success, 1 domain error, 2 spec-string parse error, 3 numerical
-failure (the quadrature could not certify its tolerance; the message carries
-the best estimate).
+Exit codes: 0 success, 1 domain error or a size too large to allocate, 2
+spec-string parse error, 3 numerical failure (the quadrature could not certify
+its tolerance; the message carries the best estimate).
 """
 
 from __future__ import annotations
@@ -196,6 +196,9 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"cmeasure: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"cmeasure: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     _emit(records, fields, args.format, args.paper_precision)
     return 0
 

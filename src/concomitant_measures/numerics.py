@@ -317,23 +317,26 @@ class RngStream:
     independent (PCG64 seeded through a spawn key).  A stream is owned by a
     single consumer; parallel work should partition by stream_id or use
     :meth:`substream`, never share one instance.
+
+    Each value is (k + 1/2) 2^-53, with k the top 53 bits of one 64-bit PCG64
+    output.  These are the values ``Generator.integers(0, 2**53)`` would give:
+    Lemire's bounded-integer method never rejects a draw for a range of
+    exactly 2^53 and returns the top 53 bits (Lemire 2019, ACM TOMACS 29:3).
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _key: tuple[int, ...] | None = None):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._key = _key if _key is not None else (self.stream_id,)
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self._key))
-        )
+        self._bits = np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self._key))
 
     def uniform01(self) -> float:
         """Next value, strictly inside (0, 1)."""
-        return (int(self._gen.integers(0, 1 << 53)) + 0.5) * 2.0**-53
+        return ((self._bits.random_raw() >> 11) + 0.5) * 2.0**-53
 
     def uniforms(self, size: int) -> np.ndarray:
         """Next ``size`` values as an array, each strictly inside (0, 1)."""
-        return (self._gen.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
+        return ((self._bits.random_raw(size) >> 11) + 0.5) * 2.0**-53
 
     def substream(self, index: int) -> "RngStream":
         """Child stream ``index``; the mapping (seed, stream_id, index) -> sequence

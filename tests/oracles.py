@@ -7,6 +7,10 @@
 - ``c_star_loop``: C* as the plain product loop over j = 1..r.
 - ``integrate_per_panel``: the adaptive G7/K15 scheme with one integrand call
   per panel, the reference for the batched evaluation in ``numerics``.
+- ``GeneratorStream``: the uniform stream drawn through ``Generator.integers``,
+  the reference for ``numerics.RngStream``.
+- ``mc_replicates_loop``: the Monte Carlo replicates one at a time, the
+  reference for the replicate blocks of ``empirical.mc_validate``.
 """
 
 import heapq
@@ -14,6 +18,7 @@ import math
 
 import numpy as np
 
+from concomitant_measures.fgm import c_star
 from concomitant_measures.marginals import (
     Exponential,
     GeneralizedExponential,
@@ -175,3 +180,38 @@ def integrate_per_panel(f, lo, hi, rel_tol=1e-10, abs_tol=1e-12, max_intervals=2
             half_budget_val = total_val
 
     return QuadratureResult(total_val, total_err, evals)
+
+
+class GeneratorStream:
+    """``numerics.RngStream`` as it was: each uniform is
+    ``(Generator.integers(0, 2**53) + 0.5) * 2**-53``, drawn through a numpy
+    ``Generator`` over the same seeded PCG64."""
+
+    def __init__(self, seed, stream_id=0, _key=None):
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        self._key = _key if _key is not None else (self.stream_id,)
+        self._gen = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self._key))
+        )
+
+    def uniform01(self):
+        return (int(self._gen.integers(0, 1 << 53)) + 0.5) * 2.0**-53
+
+    def uniforms(self, size):
+        return (self._gen.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
+
+    def substream(self, index):
+        return GeneratorStream(self.seed, self.stream_id, _key=self._key + (int(index),))
+
+
+def mc_replicates_loop(marginal, p, alpha, n, replicates, stream):
+    """The replicate vector of ``empirical.mc_validate`` with one quantile
+    call, sort, diff and weighted sum per replicate."""
+    j = np.arange(1, n) / n
+    w = j * (-np.log(j)) * (1.0 + alpha * c_star(p) * (1.0 - j))
+    vals = np.empty(replicates)
+    for i in range(replicates):
+        y = marginal.quantile(stream.substream(i).uniforms(n))
+        vals[i] = np.sum(np.diff(np.sort(y)) * w)
+    return vals

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from concomitant_measures import cli
 from concomitant_measures.cli import TABLE1_REFERENCE, TABLE2_REFERENCE, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -220,6 +221,26 @@ class TestSimulate:
         assert parse_csv(out_env)[0]["seed"] == "11"
         assert parse_csv(out_env) == parse_csv(out_explicit)
         assert parse_csv(out_default)[0]["seed"] == "0"
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 7.28 PiB for an array with shape (1000000000000000,) "
+                     "and data type float64"),
+         "cmeasure: Unable to allocate 7.28 PiB for an array with shape (1000000000000000,) "
+         "and data type float64\n"),
+        (MemoryError(), "cmeasure: out of memory\n"),
+    ])
+    def test_allocation_failure_exit_1(self, capsys, monkeypatch, exc, message):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "mc_validate", fail)
+        code, out, err = run_cli(
+            capsys, "simulate", "--marginal", "exponential:theta=1", "--gos", "record:r=2",
+            "--alpha", "0.5", "--n", "1000000000000000", "--replicates", "100",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == message
 
     def test_byte_identical_runs(self):
         env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concomitant_measures import empirical
 from concomitant_measures.empirical import (
+    _MC_BLOCK,
     clt_zscore,
     empirical_cpi,
     empirical_cpi_record,
@@ -29,10 +31,13 @@ from concomitant_measures.fgm import GosParams, order_statistics, record_value
 from concomitant_measures.marginals import (
     Exponential,
     GeneralizedExponential,
+    InverseWeibull,
+    Logistic,
     Rayleigh,
     Uniform,
 )
 from concomitant_measures.numerics import RngStream
+from oracles import GeneratorStream, mc_replicates_loop
 
 samples = st.lists(
     st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=40
@@ -293,3 +298,48 @@ class TestMcValidate:
         report = mc_validate(Uniform(1.0), order_statistics(2, 6), 0.8, 10, 150, RngStream(3))
         assert math.isfinite(report.empirical_mean)
         assert report.theoretical_mean is not None  # uniform spacing law covers any C*
+
+
+# one marginal per family, each with its (GOS, alpha)
+MC_FAMILIES = [
+    (Exponential(1.3), record_value(3), 0.5),
+    (Logistic(), order_statistics(2, 5), -1.0),
+    (Rayleigh(2.0), GosParams(2, 9, -0.5, 2.0), -0.7),
+    (GeneralizedExponential(1.0, 1.0), record_value(2), 1.0),
+    (Uniform(1.5), order_statistics(3, 4), 0.8),
+    (InverseWeibull(1.0, 2.5), record_value(2), -0.3),
+]
+
+# (n, replicates, block size); most span several blocks, the last one partial
+MC_CASES = [
+    (2, 100, _MC_BLOCK),                # 16,384 rows per block: one block
+    (2, 150, 64),                       # 32 rows: 4 blocks and 22 rows
+    (3, 100, _MC_BLOCK),
+    (3, 150, 64),                       # 21 rows: 7 blocks and 3 rows
+    (25, 3000, _MC_BLOCK),              # 1,310 rows: 2 blocks and 380 rows
+    (200, 400, _MC_BLOCK),              # 163 rows: 2 blocks and 74 rows
+    (_MC_BLOCK // 2 + 1, 100, _MC_BLOCK),  # one replicate per block
+    (_MC_BLOCK + 7, 100, _MC_BLOCK),
+]
+
+
+class TestMcValidateMatchesLoop:
+    """The replicate blocks give the reports of one replicate at a time."""
+
+    @pytest.mark.parametrize("marginal, p, alpha", MC_FAMILIES,
+                             ids=["exponential", "logistic", "rayleigh", "genexp", "uniform", "invweibull"])
+    @pytest.mark.parametrize("n, replicates, block", MC_CASES)
+    def test_report_equals_per_replicate_loop(self, monkeypatch, marginal, p, alpha, n, replicates, block):
+        monkeypatch.setattr(empirical, "_MC_BLOCK", block)
+        seed = 2**40 + n
+        report = mc_validate(marginal, p, alpha, n, replicates, RngStream(seed, 2))
+        vals = mc_replicates_loop(marginal, p, alpha, n, replicates, GeneratorStream(seed, 2))
+        assert report.empirical_mean == float(vals.mean())
+        assert report.empirical_variance == float(vals.var(ddof=1))
+        if report.theoretical_mean is None:
+            assert report.ks_normality is None
+            assert report.bias == float(vals.mean()) - report.analytic_cpi
+        else:
+            z = (vals - report.theoretical_mean) / math.sqrt(report.theoretical_variance)
+            assert report.ks_normality == ks_statistic(z, standard_normal_cdf)
+            assert report.bias == float(vals.mean()) - report.theoretical_mean

@@ -26,7 +26,7 @@ from concomitant_measures.fgm import (
 )
 from concomitant_measures.marginals import Exponential, SpecFormatError, Uniform
 from concomitant_measures.numerics import RngStream, integrate
-from oracles import c_star_loop
+from oracles import GeneratorStream, c_star_loop
 
 
 class TestCStar:
@@ -261,6 +261,17 @@ class TestSamplers:
         model = FgmModel(m, m, 0.5)
         with pytest.raises(ValueError, match="order statistics.*records"):
             sample_concomitant(model, GosParams(2, 5, 1.0, 2.0), RngStream(0))
+
+    @pytest.mark.parametrize("seed, size", [(5, None), (42, 1), (2**33, 1000)])
+    def test_draws_match_generator_stream(self, seed, size):
+        model = FgmModel(Exponential(2.0), Uniform(1.0), 0.9)
+        for a, b in zip(sample_joint(model, RngStream(seed, 1), size),
+                        sample_joint(model, GeneratorStream(seed, 1), size)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for p in (order_statistics(2, 6), record_value(3)):
+            a = sample_concomitant(model, p, RngStream(seed), size)
+            b = sample_concomitant(model, p, GeneratorStream(seed), size)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestExtremes:

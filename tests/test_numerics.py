@@ -20,7 +20,7 @@ from concomitant_measures.numerics import (
     integrate,
     trigamma,
 )
-from oracles import integrate_per_panel
+from oracles import GeneratorStream, integrate_per_panel
 
 EULER = 0.5772156649015328606
 
@@ -307,3 +307,46 @@ class TestRngStream:
             d = max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
             passed += d < crit
         assert passed >= 9
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRngStreamMatchesGenerator:
+    """Raw PCG64 outputs give the values Generator.integers(0, 2**53) gave."""
+
+    SEEDS = [(0, 0), (12345, 3), (2**32, 0), (2**32 + 7, 5), (2**64 + 11, 1), (2**100 - 3, 2)]
+
+    @pytest.mark.parametrize("seed, stream_id", SEEDS)
+    @pytest.mark.parametrize("size", [0, 1, 2, 53, 100_000])
+    def test_uniforms(self, seed, stream_id, size):
+        a = RngStream(seed, stream_id).uniforms(size)
+        b = GeneratorStream(seed, stream_id).uniforms(size)
+        assert _same_bits(a, b)
+
+    @pytest.mark.parametrize("seed, stream_id", SEEDS)
+    def test_uniform01(self, seed, stream_id):
+        a, b = RngStream(seed, stream_id), GeneratorStream(seed, stream_id)
+        for _ in range(64):
+            x, y = a.uniform01(), b.uniform01()
+            assert type(x) is type(y) is float
+            assert x.hex() == y.hex()
+
+    @pytest.mark.parametrize("seed, stream_id", SEEDS)
+    def test_interleaved_draws_advance_alike(self, seed, stream_id):
+        a, b = RngStream(seed, stream_id), GeneratorStream(seed, stream_id)
+        for size in (3, 0, 1, 17, 2, 1000, 53):
+            assert a.uniform01().hex() == b.uniform01().hex()
+            assert _same_bits(a.uniforms(size), b.uniforms(size))
+            assert a.uniform01().hex() == b.uniform01().hex()
+
+    @pytest.mark.parametrize("seed, stream_id", SEEDS)
+    def test_substreams(self, seed, stream_id):
+        a, b = RngStream(seed, stream_id), GeneratorStream(seed, stream_id)
+        for i in (0, 1, 2, 999, 2**40):
+            assert _same_bits(a.substream(i).uniforms(257), b.substream(i).uniforms(257))
+            assert _same_bits(
+                a.substream(i).substream(3).uniforms(5), b.substream(i).substream(3).uniforms(5)
+            )
