@@ -64,11 +64,9 @@ def spacings(values) -> np.ndarray:
     return np.diff(z)
 
 
-def _weighted_spacing_sum(values, weight) -> float:
+def _weighted_spacing_sum(values, coeff: float) -> float:
     u = spacings(values)
-    n = u.size + 1
-    j = np.arange(1, n) / n
-    return float(np.sum(u * weight(j)))
+    return float(np.sum(u * _estimator_weights(u.size + 1, coeff)))
 
 
 def empirical_cpi(values, alpha: float, p: GosParams) -> float:
@@ -79,8 +77,7 @@ def empirical_cpi(values, alpha: float, p: GosParams) -> float:
     """
     if not abs(alpha) <= 1.0:
         raise ValueError(f"|alpha| must be <= 1, got {alpha}")
-    c = alpha * c_star(p)
-    return _weighted_spacing_sum(values, lambda j: j * (-np.log(j)) * (1.0 + c * (1.0 - j)))
+    return _weighted_spacing_sum(values, alpha * c_star(p))
 
 
 def empirical_cpi_record(values, alpha: float, r: int) -> float:
@@ -90,15 +87,21 @@ def empirical_cpi_record(values, alpha: float, r: int) -> float:
 
 def empirical_cumulative_entropy(values) -> float:
     """Spacings estimator of CE(Y): sum U_j (j/n)(-log(j/n))."""
-    return _weighted_spacing_sum(values, lambda j: j * (-np.log(j)))
+    return _weighted_spacing_sum(values, 0.0)
 
 
 def empirical_cumulative_entropy_max2(values) -> float:
     """Spacings estimator of CE(Y_(2:2)): sum U_j (j/n)^2 (-2 log(j/n))."""
-    return _weighted_spacing_sum(values, lambda j: -2.0 * j**2 * np.log(j))
+    u = spacings(values)
+    j = np.arange(1, u.size + 1) / (u.size + 1)
+    return float(np.sum(u * (-2.0 * j**2 * np.log(j))))
 
 
 def _estimator_weights(n: int, coeff: float) -> np.ndarray:
+    """Weights (j/n)(-log(j/n)) [1 + coeff (1 - j/n)] of the n - 1 spacings of
+    the CPI estimator; coeff = alpha C*, and coeff = 0 gives the CE estimator."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     j = np.arange(1, n) / n
     return j * (-np.log(j)) * (1.0 + coeff * (1.0 - j))
 
@@ -126,16 +129,12 @@ def _uniform_moments(n: int, coeff: float, scale: float) -> tuple[float, float]:
 def moments_mtbged(n: int, theta2: float, alpha: float, r: int) -> tuple[float, float]:
     """Exact (mean, variance) of the record-case estimator, exponential marginal
     with rate theta2 (the lam = 1 generalized-exponential model)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
     return theoretical_moments(GeneralizedExponential(theta2), record_value(r), alpha, n)
 
 
 def moments_mtbud(n: int, alpha: float, r: int) -> tuple[float, float]:
     """(mean, independence-approximation variance) of the record-case estimator,
     standard uniform marginal."""
-    if n < 2:
-        raise ValueError("need n >= 2")
     return theoretical_moments(Uniform(), record_value(r), alpha, n)
 
 
@@ -170,8 +169,6 @@ def lyapunov_ratio(n: int, theta2: float, alpha: float, r: int) -> float:
 
     Uses E|W - EW|^3 = 2 e^(-1) (6 - e) (EW)^3 for exponential W.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     mu = _exponential_spacing_means(n, theta2, alpha * c_star(record_value(r)))
     s2 = float((mu**2).sum())
     s3 = 2.0 / math.e * (6.0 - math.e) * float((mu**3).sum())
@@ -281,8 +278,6 @@ def mc_validate(
     """
     if replicates < 100:
         raise ValueError(f"need replicates >= 100, got {replicates}")
-    if n < 2:
-        raise ValueError("need n >= 2")
     model = FgmModel(marginal_x=marginal, marginal_y=marginal, alpha=alpha)
     # empirical_cpi of each replicate, with its weights computed once
     w = _estimator_weights(n, alpha * c_star(p))

@@ -94,13 +94,17 @@ def c_star(p: GosParams) -> float:
 
     The product is accumulated left to right in j, factor by factor, so it
     rounds exactly as the plain loop does; the closed forms for order
-    statistics and records differ from it in the last bits.
+    statistics and records differ from it in the last bits.  Every factor is
+    at most 1, so once the product is <= 2^-55, 2 prod - 1 rounds to -1 for
+    good and the remaining factors are skipped.
     """
     # n - j is formed exactly and then rounded once, as in the loop; an n
     # beyond int64 needs Python integers for that
     dtype = np.int64 if p.n < 2**63 else object
     prod = 1.0
     for start in range(1, p.r + 1, _C_STAR_BLOCK):
+        if prod <= 2.0**-55:
+            return -1.0
         g = p.gamma(np.arange(start, min(start + _C_STAR_BLOCK, p.r + 1), dtype=dtype))
         factors = g / (g + 1.0)
         factors[0] *= prod

@@ -1,7 +1,7 @@
 """Univariate marginal families with analytic information functionals.
 
-Each family provides pdf/cdf/quantile plus four functionals used throughout
-the measure modules:
+Each family provides the kernels pdf/cdf/log_cdf/quantile plus four
+functionals used throughout the measure modules:
 
 ============================  =========================================================
 ``shannon_entropy()``         H = -Int_0^hi f log f dy
@@ -55,15 +55,6 @@ class SpecFormatError(ValueError):
     """A marginal/GOS spec string failed to parse; names the offending token."""
 
 
-def _as_array(y):
-    arr = np.asarray(y, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
-
-
 def _log1mexp(t):
     """log(1 - e^(-t)) for t >= 0 with full relative precision as t -> inf
     (the deep cdf tail); floored at log(1e-300) at t = 0."""
@@ -71,7 +62,14 @@ def _log1mexp(t):
 
 
 class MarginalFamily:
-    """Shared behaviour; concrete families are frozen dataclasses below."""
+    """Shared behaviour; concrete families are frozen dataclasses below.
+
+    A family defines ``support`` and the kernels ``_pdf``, ``_cdf``,
+    ``_log_cdf`` and ``_quantile`` on float arrays of any shape.  The public
+    kernels own the boundary: they take a float or an array, return a float
+    for 0-d input and an array of the input's shape otherwise, and
+    ``quantile`` requires every argument strictly inside (0, 1).
+    """
 
     ce_exact: ClassVar[bool] = True
 
@@ -89,14 +87,25 @@ class MarginalFamily:
 
     def u_lower(self) -> float:
         """cdf at 0, the lower limit of u-space measure integrals."""
-        return float(self.cdf(0.0))
+        return self.cdf(0.0)
+
+    def pdf(self, y):
+        return _float_or_array(self._pdf, y)
+
+    def cdf(self, y):
+        return _float_or_array(self._cdf, y)
 
     def log_cdf(self, y):
-        """log F(y), overridden per family so that the deep tail (F near 1)
-        keeps full relative precision; cdf-based integrands depend on it."""
-        y, s = _as_array(y)
-        with np.errstate(divide="ignore"):
-            return _ret(np.log(self.cdf(y)), s)
+        """log F(y), with full relative precision in the deep tail, where
+        ``cdf`` rounds to 1; cdf-based integrands depend on it."""
+        return _float_or_array(self._log_cdf, y)
+
+    def quantile(self, u):
+        u = np.asarray(u, dtype=float)
+        # NaN fails the comparison too
+        if not np.all((u > 0.0) & (u < 1.0)):
+            raise ValueError("quantile argument must lie strictly inside (0, 1)")
+        return _float_or_array(self._quantile, u)
 
     # CE/CE2 default to quadrature of their definitions; families with a
     # closed form override.
@@ -111,6 +120,12 @@ class MarginalFamily:
 
     def ce2_error_estimate(self) -> float:
         return 0.0 if type(self).ce_exact else _ce_quadrature(self, 2).abs_error_estimate
+
+
+def _float_or_array(kernel, x):
+    x = np.asarray(x, dtype=float)
+    out = kernel(x)
+    return float(out) if x.ndim == 0 else out
 
 
 def log_cdf_integral(m: MarginalFamily, term: Callable, quad: Callable) -> QuadratureResult:
@@ -143,23 +158,18 @@ class Exponential(MarginalFamily):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, y):
-        y, s = _as_array(y)
-        return _ret(np.where(y >= 0.0, np.exp(-y / self.theta) / self.theta, 0.0), s)
+    def _pdf(self, y):
+        return np.where(y >= 0.0, np.exp(-y / self.theta) / self.theta, 0.0)
 
-    def cdf(self, y):
-        y, s = _as_array(y)
-        return _ret(np.where(y >= 0.0, -np.expm1(-y / self.theta), 0.0), s)
+    def _cdf(self, y):
+        return np.where(y >= 0.0, -np.expm1(-y / self.theta), 0.0)
 
-    def quantile(self, u):
-        u, s = _as_array(u)
-        _check_u(u)
-        return _ret(-self.theta * np.log1p(-u), s)
+    def _quantile(self, u):
+        return -self.theta * np.log1p(-u)
 
-    def log_cdf(self, y):
-        y, s = _as_array(y)
+    def _log_cdf(self, y):
         t = np.maximum(y, 0.0) / self.theta
-        return _ret(np.where(y > 0.0, _log1mexp(t), -np.inf), s)
+        return np.where(y > 0.0, _log1mexp(t), -np.inf)
 
     def shannon_entropy(self):
         return 1.0 + math.log(self.theta)
@@ -187,25 +197,20 @@ class Logistic(MarginalFamily):
     def support(self):
         return (-math.inf, math.inf)
 
-    def pdf(self, y):
-        y, s = _as_array(y)
+    def _pdf(self, y):
         e = np.exp(-np.abs(y))  # symmetric form, no overflow on either tail
-        return _ret(e / (1.0 + e) ** 2, s)
+        return e / (1.0 + e) ** 2
 
-    def cdf(self, y):
-        y, s = _as_array(y)
+    def _cdf(self, y):
         e = np.exp(-np.abs(y))  # stable on both tails
-        return _ret(np.where(y >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)), s)
+        return np.where(y >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def quantile(self, u):
-        u, s = _as_array(u)
-        _check_u(u)
-        return _ret(np.log(u) - np.log1p(-u), s)
+    def _quantile(self, u):
+        return np.log(u) - np.log1p(-u)
 
-    def log_cdf(self, y):
-        y, s = _as_array(y)
+    def _log_cdf(self, y):
         # -log(1 + e^(-y)), stable on both tails
-        return _ret(np.where(y >= 0.0, -np.log1p(np.exp(-np.abs(y))), y - np.log1p(np.exp(-np.abs(y)))), s)
+        return np.where(y >= 0.0, -np.log1p(np.exp(-np.abs(y))), y - np.log1p(np.exp(-np.abs(y))))
 
     def shannon_entropy(self):
         return 1.0
@@ -224,24 +229,19 @@ class Rayleigh(MarginalFamily):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, y):
-        y, s = _as_array(y)
+    def _pdf(self, y):
         v = self.sigma**2
-        return _ret(np.where(y >= 0.0, y / v * np.exp(-(y**2) / (2.0 * v)), 0.0), s)
+        return np.where(y >= 0.0, y / v * np.exp(-(y**2) / (2.0 * v)), 0.0)
 
-    def cdf(self, y):
-        y, s = _as_array(y)
-        return _ret(np.where(y >= 0.0, -np.expm1(-(y**2) / (2.0 * self.sigma**2)), 0.0), s)
+    def _cdf(self, y):
+        return np.where(y >= 0.0, -np.expm1(-(y**2) / (2.0 * self.sigma**2)), 0.0)
 
-    def quantile(self, u):
-        u, s = _as_array(u)
-        _check_u(u)
-        return _ret(self.sigma * np.sqrt(-2.0 * np.log1p(-u)), s)
+    def _quantile(self, u):
+        return self.sigma * np.sqrt(-2.0 * np.log1p(-u))
 
-    def log_cdf(self, y):
-        y, s = _as_array(y)
+    def _log_cdf(self, y):
         t = np.maximum(y, 0.0) ** 2 / (2.0 * self.sigma**2)
-        return _ret(np.where(y > 0.0, _log1mexp(t), -np.inf), s)
+        return np.where(y > 0.0, _log1mexp(t), -np.inf)
 
     def shannon_entropy(self):
         return 1.0 + 0.5 * _EULER + math.log(self.sigma / math.sqrt(2.0))
@@ -265,27 +265,22 @@ class GeneralizedExponential(MarginalFamily):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, y):
-        y, s = _as_array(y)
+    def _pdf(self, y):
         t = self.theta * np.maximum(y, 0.0)
         base = np.where(t > 0.0, -np.expm1(-t), 1.0)  # dummy 1 where masked out below
         val = self.lam * self.theta * np.exp(-t) * base ** (self.lam - 1.0)
-        return _ret(np.where(y > 0.0, val, 0.0), s)
+        return np.where(y > 0.0, val, 0.0)
 
-    def cdf(self, y):
-        y, s = _as_array(y)
+    def _cdf(self, y):
         base = -np.expm1(-self.theta * np.maximum(y, 0.0))
-        return _ret(np.where(y > 0.0, base**self.lam, 0.0), s)
+        return np.where(y > 0.0, base**self.lam, 0.0)
 
-    def quantile(self, u):
-        u, s = _as_array(u)
-        _check_u(u)
-        return _ret(-np.log1p(-(u ** (1.0 / self.lam))) / self.theta, s)
+    def _quantile(self, u):
+        return -np.log1p(-(u ** (1.0 / self.lam))) / self.theta
 
-    def log_cdf(self, y):
-        y, s = _as_array(y)
+    def _log_cdf(self, y):
         t = self.theta * np.maximum(y, 0.0)
-        return _ret(np.where(y > 0.0, self.lam * _log1mexp(t), -np.inf), s)
+        return np.where(y > 0.0, self.lam * _log1mexp(t), -np.inf)
 
     def shannon_entropy(self):
         B = digamma(self.lam + 1.0) + _EULER
@@ -314,23 +309,17 @@ class Uniform(MarginalFamily):
     def support(self):
         return (0.0, self.theta)
 
-    def pdf(self, y):
-        y, s = _as_array(y)
-        return _ret(np.where((y >= 0.0) & (y <= self.theta), 1.0 / self.theta, 0.0), s)
+    def _pdf(self, y):
+        return np.where((y >= 0.0) & (y <= self.theta), 1.0 / self.theta, 0.0)
 
-    def cdf(self, y):
-        y, s = _as_array(y)
-        return _ret(np.clip(y / self.theta, 0.0, 1.0), s)
+    def _cdf(self, y):
+        return np.clip(y / self.theta, 0.0, 1.0)
 
-    def quantile(self, u):
-        u, s = _as_array(u)
-        _check_u(u)
-        return _ret(self.theta * u, s)
+    def _quantile(self, u):
+        return self.theta * u
 
-    def log_cdf(self, y):
-        y, s = _as_array(y)
-        with np.errstate(divide="ignore"):
-            return _ret(np.where(y > 0.0, np.log(np.clip(y / self.theta, 1e-300, 1.0)), -np.inf), s)
+    def _log_cdf(self, y):
+        return np.where(y > 0.0, np.log(np.clip(y / self.theta, 1e-300, 1.0)), -np.inf)
 
     def shannon_entropy(self):
         return math.log(self.theta)
@@ -360,8 +349,7 @@ class InverseWeibull(MarginalFamily):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, y):
-        y, s = _as_array(y)
+    def _pdf(self, y):
         yy = np.where(y > 0.0, y, 1.0)
         val = (
             self.beta
@@ -369,22 +357,18 @@ class InverseWeibull(MarginalFamily):
             * yy ** (-self.beta - 1.0)
             * np.exp(-((self.theta / yy) ** self.beta))
         )
-        return _ret(np.where(y > 0.0, val, 0.0), s)
+        return np.where(y > 0.0, val, 0.0)
 
-    def cdf(self, y):
-        y, s = _as_array(y)
+    def _cdf(self, y):
         yy = np.where(y > 0.0, y, 1.0)
-        return _ret(np.where(y > 0.0, np.exp(-((self.theta / yy) ** self.beta)), 0.0), s)
+        return np.where(y > 0.0, np.exp(-((self.theta / yy) ** self.beta)), 0.0)
 
-    def quantile(self, u):
-        u, s = _as_array(u)
-        _check_u(u)
-        return _ret(self.theta * (-np.log(u)) ** (-1.0 / self.beta), s)
+    def _quantile(self, u):
+        return self.theta * (-np.log(u)) ** (-1.0 / self.beta)
 
-    def log_cdf(self, y):
-        y, s = _as_array(y)
+    def _log_cdf(self, y):
         yy = np.where(y > 0.0, y, 1.0)
-        return _ret(np.where(y > 0.0, -((self.theta / yy) ** self.beta), -np.inf), s)
+        return np.where(y > 0.0, -((self.theta / yy) ** self.beta), -np.inf)
 
     def shannon_entropy(self):
         return 1.0 + _EULER * (1.0 + 1.0 / self.beta) + math.log(self.theta / self.beta)
@@ -411,11 +395,6 @@ class InverseWeibull(MarginalFamily):
         return 2.0 ** (1.0 / self.beta) * self.theta / self.beta * math.gamma(
             (self.beta - 1.0) / self.beta
         )
-
-
-def _check_u(u: np.ndarray) -> None:
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
 
 
 # --- spec-string parsing -------------------------------------------------------

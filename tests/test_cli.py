@@ -126,6 +126,17 @@ class TestMeasure:
         assert code == 0
         assert parse_csv(out)[0]["gos"] == "os:r=1,n=1000000000"
 
+    def test_large_record_index_does_not_hang(self, capsys):
+        # C* is -1 to the last bit long before r = 1e12 factors
+        code, out, _ = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1",
+            "--gos", "record:r=1e12", "--alpha", "0.5", "--measure", "inaccuracy",
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["gos"] == "record:r=1000000000000"
+        assert float(row["value"]) == 1.25
+
     def test_numerical_failure_exit_3(self, capsys):
         # the heavy tail at beta = 1.2 exhausts the quadrature budget
         code, out, err = run_cli(

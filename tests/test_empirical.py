@@ -172,6 +172,18 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments_mtbud(1, 0.5, 2)
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_sample_size_below_two_rejected(self, n):
+        p = record_value(2)
+        for marginal in (Exponential(2.0), GeneralizedExponential(0.5, 1.0), Uniform(1.0)):
+            with pytest.raises(ValueError, match=r"^need n >= 2$"):
+                theoretical_moments(marginal, p, 0.5, n)
+        for moments in (lambda: moments_mtbged(n, 1.0, 0.5, 2), lambda: moments_mtbud(n, 0.5, 2),
+                        lambda: lyapunov_ratio(n, 1.0, 0.5, 2),
+                        lambda: mc_validate(Uniform(1.0), p, 0.5, n, 100, RngStream(0))):
+            with pytest.raises(ValueError, match=r"^need n >= 2$"):
+                moments()
+
     def test_theoretical_moments_dispatch(self):
         p = record_value(2)
         # scale-theta exponential == rate-1/theta model

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concomitant_measures import fgm
 from concomitant_measures.empirical import ks_critical_value, ks_statistic, spearman_rho
 from concomitant_measures.fgm import (
     FgmModel,
@@ -65,6 +66,23 @@ class TestCStar:
             value = c_star(GosParams(r, n, m, k))
             assert type(value) is float
             assert value == c_star_loop(r, n, m, k), (r, n, m, k)
+
+    @pytest.mark.parametrize("block", [3, 64, fgm._C_STAR_BLOCK])
+    def test_bitwise_equal_to_the_loop_past_underflow(self, monkeypatch, block):
+        # once the product is <= 2^-55, c_star stops at the next block
+        # boundary and returns -1.0; the loop must give exactly that
+        monkeypatch.setattr(fgm, "_C_STAR_BLOCK", block)
+        cases = [(r, n, m, k) for m, n, k in [(-1.0, 400, 0.01), (-1.0, 400, 0.5), (-1.0, 400, 1.0),
+                                              (-1.0, 400, 3.0), (-0.9, 400, 0.01), (-0.9, 400, 0.5),
+                                              (-0.5, 400, 1.0), (2.0, 50, 1.0)]
+                 for r in range(1, n + 1, 3)]
+        cases += [(r, r, -1.0, 40.0) for r in (1_543, 1_544, 65_537, 131_073)]
+        minus_one = 0
+        for r, n, m, k in cases:
+            expected = c_star_loop(r, n, m, k)
+            assert c_star(GosParams(r, n, m, k)) == expected, (r, n, m, k)
+            minus_one += expected == -1.0
+        assert minus_one > 300
 
     def test_invalid_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):

@@ -126,6 +126,43 @@ class TestDistributionContracts:
         assert m.cdf(m.quantile(u)) == pytest.approx(u, abs=1e-10)
 
 
+KERNELS = ("pdf", "cdf", "log_cdf", "quantile")
+
+
+@pytest.mark.parametrize("m", ALL_FAMILIES, ids=lambda m: type(m).__name__)
+class TestKernelBoundary:
+    """The base class turns floats and arrays into the families' array-only
+    kernels and back, and checks the quantile argument once."""
+
+    def test_families_define_only_the_array_kernels(self, m):
+        for name in KERNELS:
+            assert name not in type(m).__dict__
+            assert "_" + name in type(m).__dict__
+
+    @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array(0.3)], ids=["float", "np.float64", "0-d"])
+    def test_scalar_in_float_out(self, m, x):
+        for name in KERNELS:
+            assert type(getattr(m, name)(x)) is float
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4)])
+    def test_arrays_keep_their_shape(self, m, shape):
+        u = np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape)
+        y = m.quantile(u)
+        for name in KERNELS:
+            x = u if name == "quantile" else y
+            out = getattr(m, name)(x)
+            assert type(out) is np.ndarray and out.shape == shape
+            # numpy's SIMD loops may differ from its scalar ones in the last bit
+            scalars = [getattr(m, name)(float(v)) for v in x.ravel()]
+            np.testing.assert_allclose(out.ravel(), scalars, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("u", [[0.2, 1.0, 0.5], [[0.2, 0.3], [0.0, 0.5]], [0.5, -0.1], [0.5, 1.5],
+                                   math.nan, [0.5, math.nan], math.inf])
+    def test_quantile_rejects_any_argument_outside_the_open_unit_interval(self, m, u):
+        with pytest.raises(ValueError, match="strictly inside"):
+            m.quantile(u)
+
+
 class TestFunctionalValues:
     def test_entropy_values(self):
         assert Exponential(1.0).shannon_entropy() == pytest.approx(1.0)
