@@ -19,7 +19,6 @@ Public surface, by module:
 
 from .cpi import check_cpi_bounds, cpi_gos, reversed_cpi
 from .empirical import (
-    EmpiricalStudy,
     ValidationReport,
     empirical_cpi,
     empirical_cpi_record,
@@ -78,7 +77,7 @@ __all__ = [
     "spacings", "empirical_cpi", "empirical_cpi_record",
     "empirical_cumulative_entropy", "empirical_cumulative_entropy_max2",
     "moments_mtbged", "moments_mtbud", "lyapunov_ratio", "mc_validate",
-    "EmpiricalStudy", "ValidationReport",
+    "ValidationReport",
     "QuadratureResult", "QuadratureError", "RngStream", "integrate",
     "digamma", "trigamma",
     "__version__",

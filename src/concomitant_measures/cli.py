@@ -15,9 +15,9 @@ Floats are printed with 15 significant digits; --paper-precision rounds to 3
 decimals for diffing against the reference tables.  The seed falls back to
 the CM_SEED environment variable, then to 0.
 
-Exit codes: 0 success, 1 domain error or a size too large to allocate, 2
-spec-string parse error, 3 numerical failure (the quadrature could not certify
-its tolerance; the message carries the best estimate).
+Exit codes: 0 success, 1 domain error, out-of-range result or unallocatable
+size, 2 spec-string parse error, 3 numerical failure (the quadrature could not
+certify its tolerance; the message carries the best estimate).
 """
 
 from __future__ import annotations
@@ -26,8 +26,11 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from .cpi import check_cpi_bounds, cpi_gos, reversed_cpi
 from .empirical import mc_validate, moments_mtbged, moments_mtbud
@@ -107,16 +110,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value, paper_precision: bool):
+def _fmt(name: str, value, paper_precision: bool):
     if isinstance(value, float):
         if paper_precision:
             value = round(value, 3)
-        return float(f"{value:.15g}")
+        value = float(f"{value:.15g}")
+        if not math.isfinite(value):
+            raise ArithmeticError(f"{name} is out of floating-point range")
     return value
 
 
-def _emit(records: list[dict], fields: list[str], fmt: str, paper_precision: bool) -> None:
-    records = [{k: _fmt(rec.get(k), paper_precision) for k in fields} for rec in records]
+def _emit(records: list[dict], fields: list[str], fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(records, indent=2) + "\n")
         return
@@ -181,12 +185,15 @@ def _cmd_simulate(args) -> list[dict]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "measure":
-            records, fields = _cmd_measure(args), MEASURE_FIELDS
-        elif args.command == "table":
-            records, fields = _cmd_table(args), TABLE_FIELDS
-        else:
-            records, fields = _cmd_simulate(args), SIMULATE_FIELDS
+        # overflow shows as an error or a non-finite result, not as warnings
+        with np.errstate(all="ignore"):
+            if args.command == "measure":
+                records, fields = _cmd_measure(args), MEASURE_FIELDS
+            elif args.command == "table":
+                records, fields = _cmd_table(args), TABLE_FIELDS
+            else:
+                records, fields = _cmd_simulate(args), SIMULATE_FIELDS
+        records = [{k: _fmt(k, rec.get(k), args.paper_precision) for k in fields} for rec in records]
     except SpecFormatError as exc:
         print(f"cmeasure: spec error: {exc}", file=sys.stderr)
         return 2
@@ -196,10 +203,13 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"cmeasure: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"cmeasure: arithmetic error: {exc}", file=sys.stderr)
+        return 1
     except MemoryError as exc:
         print(f"cmeasure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    _emit(records, fields, args.format, args.paper_precision)
+    _emit(records, fields, args.format)
     return 0
 
 

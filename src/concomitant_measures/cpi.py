@@ -61,11 +61,8 @@ def reversed_cpi(model: FgmModel, p: GosParams) -> MeasureResult:
     c = model.alpha * c_star(p)
     m = model.marginal_y
     ce = m.cumulative_entropy()
-    if c == 0.0:
-        return MeasureResult(ce, "quadrature", m.ce_error_estimate())
     q = log_cdf_integral(m, lambda F, logF: F * np.log1p(c * (1.0 - F)), integrate_best_effort)
-    err = m.ce_error_estimate() + q.abs_error_estimate
-    return MeasureResult(ce - q.value, "quadrature", err)
+    return MeasureResult(ce - q.value, "quadrature", m.ce_error_estimate() + q.abs_error_estimate)
 
 
 def check_cpi_bounds(model: FgmModel, p: GosParams) -> str:

@@ -44,15 +44,12 @@ __all__ = [
     "moments_mtbged",
     "moments_mtbud",
     "theoretical_moments",
-    "clt_zscore",
     "lyapunov_ratio",
-    "EmpiricalStudy",
     "ValidationReport",
     "mc_validate",
     "ks_statistic",
     "ks_critical_value",
     "standard_normal_cdf",
-    "spearman_rho",
 ]
 
 
@@ -157,12 +154,6 @@ def theoretical_moments(
     return None
 
 
-def clt_zscore(value: float, mean: float, variance: float) -> float:
-    if not variance > 0.0:
-        raise ValueError(f"variance must be > 0, got {variance}")
-    return (value - mean) / math.sqrt(variance)
-
-
 def lyapunov_ratio(n: int, theta2: float, alpha: float, r: int) -> float:
     """Third-moment Lyapunov quotient for the record-case estimator under the
     exponential spacing model; decays like n^(-1/6).
@@ -198,42 +189,10 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
 
 
-def spearman_rho(x, y) -> float:
-    rx = np.argsort(np.argsort(x)).astype(float)
-    ry = np.argsort(np.argsort(y)).astype(float)
-    return float(np.corrcoef(rx, ry)[0, 1])
-
-
 # --- Monte Carlo validation harness ---------------------------------------------
 
 # sample values per block of replicates in mc_validate (256 KiB of float64)
 _MC_BLOCK = 1 << 15
-
-
-@dataclass(frozen=True)
-class EmpiricalStudy:
-    """One sample's estimator value with CLT diagnostics where available."""
-
-    sample_size: int
-    gos: GosParams
-    alpha: float
-    value: float
-    theoretical_mean: float | None = None
-    theoretical_var: float | None = None
-    z_score: float | None = None
-
-
-def study(values, alpha: float, p: GosParams, marginal: MarginalFamily | None = None) -> EmpiricalStudy:
-    values = np.asarray(values, dtype=float)
-    value = empirical_cpi(values, alpha, p)
-    mean = var = z = None
-    if marginal is not None:
-        mo = theoretical_moments(marginal, p, alpha, values.size)
-        if mo is not None:
-            mean, var = mo
-            if var > 0.0:
-                z = clt_zscore(value, mean, var)
-    return EmpiricalStudy(values.size, p, alpha, value, mean, var, z)
 
 
 @dataclass(frozen=True)

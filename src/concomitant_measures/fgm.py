@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import MarginalFamily, SpecFormatError, parse_fields
+from .marginals import MarginalFamily, SpecFormatError, format_number, parse_fields
 from .numerics import RngStream
 
 __all__ = [
@@ -271,14 +271,14 @@ def parse_gos(spec: str) -> GosParams:
 def _as_index(values: dict[str, float], key: str, spec: str) -> int:
     value = values[key]
     if value != int(value):
-        raise SpecFormatError(f"GOS field {key!r} must be an integer, got {value:g} in {spec!r}")
+        raise SpecFormatError(f"GOS field {key!r} must be an integer, got {format_number(value)} in {spec!r}")
     return int(value)
 
 
 def format_gos(p: GosParams) -> str:
-    """Canonical spec string; shorthands are preferred where they apply."""
+    """Canonical spec string, shorthands preferred; parse_gos(format_gos(p)) == p."""
     if p.is_order_statistics():
         return f"os:r={p.r},n={p.n}"
     if p.is_record():
         return f"record:r={p.r}"
-    return f"r={p.r},n={p.n},m={p.m:g},k={p.k:g}"
+    return f"r={p.r},n={p.n},m={format_number(p.m)},k={format_number(p.k)}"

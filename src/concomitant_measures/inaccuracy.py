@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fgm import FgmModel, GosParams, c_star, extremes_coefficient
-from .marginals import MarginalFamily
+from .marginals import MarginalFamily, _safe_log
 from .numerics import integrate, integrate_best_effort
 
 __all__ = [
@@ -44,10 +44,6 @@ class MeasureResult:
     abs_error_estimate: float = 0.0
 
 
-def _safe_log(x):
-    return np.log(np.maximum(x, 1e-300))
-
-
 def _decomposition(m: MarginalFamily, c: float) -> MeasureResult:
     # the inaccuracy of a density tilted by 1 + c (1 - 2 F_Y)
     return MeasureResult((1.0 + c) * m.shannon_entropy() + 2.0 * c * m.phi_f(), "closed_form")
@@ -67,8 +63,8 @@ def inaccuracy_gos(model: FgmModel, p: GosParams, method: str = "closed_form") -
     if method == "quadrature":
 
         def integrand(y):
-            g = m.pdf(y) * (1.0 + c * (1.0 - 2.0 * m.cdf(y)))
-            return -g * _safe_log(m.pdf(y))
+            f = m.pdf(y)
+            return -(f * (1.0 + c * (1.0 - 2.0 * m.cdf(y)))) * _safe_log(f)
 
         # measures are defined on y > 0 regardless of where the support starts
         q = integrate(integrand, 0.0, m.support()[1])
@@ -85,12 +81,8 @@ def reversed_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
     """
     c = model.alpha * c_star(p)
     m = model.marginal_y
-    H = m.shannon_entropy()
-    if c == 0.0:
-        return MeasureResult(H, "quadrature", 0.0)
-    u0 = m.u_lower()
-    q = integrate_best_effort(lambda u: np.log1p(c * (1.0 - 2.0 * u)), u0, 1.0)
-    return MeasureResult(H - q.value, "quadrature", q.abs_error_estimate)
+    q = integrate_best_effort(lambda u: np.log1p(c * (1.0 - 2.0 * u)), m.u_lower(), 1.0)
+    return MeasureResult(m.shannon_entropy() - q.value, "quadrature", q.abs_error_estimate)
 
 
 def quantile_form_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:

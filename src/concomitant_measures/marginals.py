@@ -44,6 +44,7 @@ __all__ = [
     "SpecFormatError",
     "log_cdf_integral",
     "parse_fields",
+    "format_number",
     "parse_marginal",
     "format_marginal",
 ]
@@ -55,10 +56,16 @@ class SpecFormatError(ValueError):
     """A marginal/GOS spec string failed to parse; names the offending token."""
 
 
+def _safe_log(x):
+    """log x, floored so that x = 0 gives a finite log for its zero weight to
+    cancel."""
+    return np.log(np.maximum(x, 1e-300))
+
+
 def _log1mexp(t):
     """log(1 - e^(-t)) for t >= 0 with full relative precision as t -> inf
-    (the deep cdf tail); floored at log(1e-300) at t = 0."""
-    return np.log(np.maximum(-np.expm1(-t), 1e-300))
+    (the deep cdf tail); ``_safe_log`` floors it at t = 0."""
+    return _safe_log(-np.expm1(-t))
 
 
 class MarginalFamily:
@@ -319,7 +326,7 @@ class Uniform(MarginalFamily):
         return self.theta * u
 
     def _log_cdf(self, y):
-        return np.where(y > 0.0, np.log(np.clip(y / self.theta, 1e-300, 1.0)), -np.inf)
+        return np.where(y > 0.0, _safe_log(np.minimum(y / self.theta, 1.0)), -np.inf)
 
     def shannon_entropy(self):
         return math.log(self.theta)
@@ -450,6 +457,11 @@ def parse_fields(text: str, spec: str, start: int, allowed: set[str]) -> dict[st
     return out
 
 
+def format_number(x: float) -> str:
+    """The shortest of ``:g`` (6 digits) up to ``:.17g`` that parses back to ``x``."""
+    return next(t for t in (f"{x:.{p}g}" for p in range(6, 18)) if float(t) == x)
+
+
 def parse_marginal(spec: str) -> MarginalFamily:
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
@@ -466,6 +478,6 @@ def format_marginal(m: MarginalFamily) -> str:
     """Canonical spec string; parse_marginal(format_marginal(m)) == m."""
     for name, cls in MARGINAL_FAMILIES.items():
         if type(m) is cls:
-            params = ",".join(f"{f.name}={getattr(m, f.name):g}" for f in fields(m))
+            params = ",".join(f"{f.name}={format_number(getattr(m, f.name))}" for f in fields(m))
             return f"{name}:{params}" if params else name
     raise ValueError(f"not a registered marginal family: {m!r}")

@@ -11,6 +11,8 @@
   the reference for ``numerics.RngStream``.
 - ``mc_replicates_loop``: the Monte Carlo replicates one at a time, the
   reference for the replicate blocks of ``empirical.mc_validate``.
+- ``spearman_rho``: the rank correlation the joint-sampler tests check
+  against alpha/3.
 """
 
 import heapq
@@ -215,3 +217,10 @@ def mc_replicates_loop(marginal, p, alpha, n, replicates, stream):
         y = marginal.quantile(stream.substream(i).uniforms(n))
         vals[i] = np.sum(np.diff(np.sort(y)) * w)
     return vals
+
+
+def spearman_rho(x, y) -> float:
+    """Spearman rank correlation (no ties): Pearson correlation of the ranks."""
+    rx = np.argsort(np.argsort(x)).astype(float)
+    ry = np.argsort(np.argsort(y)).astype(float)
+    return float(np.corrcoef(rx, ry)[0, 1])

@@ -32,7 +32,6 @@ from concomitant_measures.empirical import (
     mc_validate,
     moments_mtbged,
     moments_mtbud,
-    spearman_rho,
 )
 from concomitant_measures.fgm import (
     FgmModel,
@@ -55,6 +54,7 @@ from concomitant_measures.marginals import (
     Uniform,
 )
 from concomitant_measures.numerics import RngStream
+from oracles import spearman_rho
 
 FAMILIES = [
     Exponential(1.3),

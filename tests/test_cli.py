@@ -13,6 +13,7 @@ import pytest
 
 from concomitant_measures import cli
 from concomitant_measures.cli import TABLE1_REFERENCE, TABLE2_REFERENCE, main
+from concomitant_measures.inaccuracy import MeasureResult
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -149,6 +150,45 @@ class TestMeasure:
         assert "best estimate" in err
         assert "Traceback" not in err
 
+    def test_echoed_spec_round_trips(self, capsys):
+        values = []
+        for theta in ("1.2345671", "1.2345674"):
+            code, out, _ = run_cli(
+                capsys, "measure", "--marginal", f"exponential:theta={theta}",
+                "--gos", "r=2,n=5,m=0.30000000000000004,k=2", "--alpha", "0.5",
+                "--measure", "inaccuracy",
+            )
+            assert code == 0
+            row = parse_csv(out)[0]
+            assert row["marginal"] == f"exponential:theta={theta}"
+            assert row["gos"] == "r=2,n=5,m=0.30000000000000004,k=2"
+            values.append(row["value"])
+        assert values[0] != values[1]
+
+    @pytest.mark.parametrize("measure", ["reversed_inaccuracy", "reversed_cpi", "bounds"])
+    def test_overflow_in_a_kernel_exit_1(self, capsys, measure):
+        # sigma**2 overflows in the Rayleigh kernels
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", "rayleigh:sigma=1e200",
+            "--gos", "os:r=1,n=3", "--alpha", "0.5", "--measure", measure,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("cmeasure: arithmetic error: ")
+        assert err.count("\n") == 1
+
+    def test_value_that_prints_out_of_range_exit_1(self, capsys, monkeypatch):
+        # the largest double rounds up to inf at the 15 printed digits
+        def huge(mdl, p):
+            return MeasureResult(sys.float_info.max, "closed_form")
+
+        monkeypatch.setattr(cli, "inaccuracy_gos", huge)
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3",
+            "--alpha", "0.5", "--measure", "bounds", "--measure", "inaccuracy",
+        )
+        assert (code, out) == (1, "")
+        assert err == "cmeasure: arithmetic error: value is out of floating-point range\n"
+
     def test_domain_error_exit_1(self, capsys):
         code, out, err = run_cli(
             capsys, "measure", "--marginal", "exponential:theta=1",
@@ -266,3 +306,25 @@ class TestSimulate:
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stderr == b""
+
+
+class TestOutOfRange:
+    """Parameters beyond the floating-point range end in exit 1 with one
+    stderr line: no traceback, no warning and no non-finite value printed."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("measure --marginal rayleigh:sigma=1e200 --gos os:r=1,n=3 --alpha 0.5 --measure cpi",
+         "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
+        ("simulate --marginal uniform:theta=1e308 --gos record:r=2 --alpha 0.5 --n 10 --replicates 100",
+         "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
+        ("measure --marginal uniform:theta=1e308 --gos os:r=1,n=3 --alpha 0.7 --measure cpi",
+         "cmeasure: arithmetic error: value is out of floating-point range"),
+        ("simulate --marginal exponential:theta=1e307 --gos record:r=2 --alpha 0.5 --n 10 --replicates 100",
+         "cmeasure: arithmetic error: empirical_mean is out of floating-point range"),
+    ])
+    def test_console_exit_1(self, argv, message):
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        run = subprocess.run([sys.executable, "-m", "concomitant_measures", *argv.split()],
+                             capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == message + "\n"

@@ -17,6 +17,7 @@ from concomitant_measures.fgm import (
     order_statistics,
     record_value,
 )
+from concomitant_measures.inaccuracy import MeasureResult
 from concomitant_measures.marginals import (
     Exponential,
     GeneralizedExponential,
@@ -142,6 +143,30 @@ class TestReversedCpi:
     def test_c_star_zero(self):
         res = reversed_cpi(model(Uniform(1.0), 1.0), order_statistics(1, 1))
         assert res.value == pytest.approx(0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("m", FAMILIES, ids=repr)
+    @pytest.mark.parametrize("alpha, p", [
+        (0.0, order_statistics(1, 3)),  # alpha = 0
+        (0.5, order_statistics(2, 3)),  # C* = 0
+        (-1.0, order_statistics(2, 3)),  # c = -0.0
+    ])
+    def test_zero_tilt_is_exactly_the_cumulative_entropy(self, m, alpha, p):
+        # the integrand F log1p(0) vanishes identically, so the quadrature adds
+        # exactly zero to both the value and the error of CE
+        assert c_star(order_statistics(2, 3)) == 0.0
+        res = reversed_cpi(model(m, alpha), p)
+        expected = MeasureResult(m.cumulative_entropy(), "quadrature", m.ce_error_estimate())
+        assert res == expected
+        assert repr(res) == repr(expected)
+
+    @pytest.mark.parametrize("beta", [0.8, 1.0])
+    @pytest.mark.parametrize("alpha, p", [
+        (0.0, order_statistics(1, 3)),
+        (0.5, order_statistics(2, 3)),
+    ])
+    def test_zero_tilt_still_needs_a_finite_cumulative_entropy(self, beta, alpha, p):
+        with pytest.raises(ValueError, match="cumulative entropy of InverseWeibull diverges"):
+            reversed_cpi(model(InverseWeibull(1.0, beta), alpha), p)
 
     def test_uniform_oracle(self):
         # CE = 1/4 and Int_0^1 u log(1 + (1-u)/2) du = 4.5 log(3/2) - 7/4

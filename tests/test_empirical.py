@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from concomitant_measures import empirical
 from concomitant_measures.empirical import (
     _MC_BLOCK,
-    clt_zscore,
     empirical_cpi,
     empirical_cpi_record,
     empirical_cumulative_entropy,
@@ -22,9 +21,7 @@ from concomitant_measures.empirical import (
     moments_mtbged,
     moments_mtbud,
     spacings,
-    spearman_rho,
     standard_normal_cdf,
-    study,
     theoretical_moments,
 )
 from concomitant_measures.fgm import GosParams, order_statistics, record_value
@@ -37,7 +34,7 @@ from concomitant_measures.marginals import (
     Uniform,
 )
 from concomitant_measures.numerics import RngStream
-from oracles import GeneratorStream, mc_replicates_loop
+from oracles import GeneratorStream, mc_replicates_loop, spearman_rho
 
 samples = st.lists(
     st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=40
@@ -204,16 +201,6 @@ class TestMoments:
 
 
 class TestCltDiagnostics:
-    def test_zscore_trivials(self):
-        assert clt_zscore(1.0, 1.0, 4.0) == 0.0
-        assert clt_zscore(3.0, 1.0, 4.0) == 1.0
-        with pytest.raises(ValueError):
-            clt_zscore(1.0, 0.0, 0.0)
-
-    def test_zscore_reference_arithmetic(self):
-        # (0.499 - 0.469)/sqrt(0.030) = 0.1732...
-        assert clt_zscore(0.499, 0.469, 0.030) == pytest.approx(0.173, abs=5e-4)
-
     def test_lyapunov_positive(self):
         for n in (2, 10, 100):
             assert lyapunov_ratio(n, 1.0, 0.5, 2) > 0.0
@@ -241,22 +228,6 @@ class TestCltDiagnostics:
         x = np.array([0.3, 1.2, 5.0, 2.2])
         assert spearman_rho(x, 10.0 * x) == pytest.approx(1.0)
         assert spearman_rho(x, -x) == pytest.approx(-1.0)
-
-
-class TestStudy:
-    def test_study_attaches_diagnostics(self):
-        vals = RngStream(1).uniforms(50)
-        s = study(vals, -1.0, record_value(2), marginal=Uniform(1.0))
-        assert s.sample_size == 50
-        assert s.value == pytest.approx(empirical_cpi_record(vals, -1.0, 2))
-        assert s.theoretical_mean is not None and s.theoretical_var is not None
-        assert s.z_score == pytest.approx(
-            (s.value - s.theoretical_mean) / math.sqrt(s.theoretical_var)
-        )
-
-    def test_study_without_known_moments(self):
-        s = study([1.0, 2.0, 4.0], 0.5, order_statistics(1, 2), marginal=Rayleigh(1.0))
-        assert s.theoretical_mean is None and s.z_score is None
 
 
 class TestMcValidate:

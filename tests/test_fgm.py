@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concomitant_measures import fgm
-from concomitant_measures.empirical import ks_critical_value, ks_statistic, spearman_rho
+from concomitant_measures.empirical import ks_critical_value, ks_statistic
 from concomitant_measures.fgm import (
     FgmModel,
     GosParams,
@@ -27,7 +27,7 @@ from concomitant_measures.fgm import (
 )
 from concomitant_measures.marginals import Exponential, SpecFormatError, Uniform
 from concomitant_measures.numerics import RngStream, integrate
-from oracles import GeneratorStream, c_star_loop
+from oracles import GeneratorStream, c_star_loop, spearman_rho
 
 
 class TestCStar:
@@ -347,6 +347,22 @@ class TestGosSpecStrings:
         for p in (order_statistics(2, 5), record_value(3), GosParams(1, 4, 2.0, 0.5)):
             assert parse_gos(format_gos(p)) == p
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.floats(allow_nan=False, allow_infinity=False),
+        k=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_round_trip_any_m_k(self, m, k):
+        # r = n = 1 makes gamma_1 = k, so every finite m and positive k is valid
+        p = GosParams(1, 1, m, k)
+        assert parse_gos(format_gos(p)) == p
+
+    def test_round_trip_digits(self):
+        assert format_gos(GosParams(2, 5, 1.0, 2.0)) == "r=2,n=5,m=1,k=2"
+        assert format_gos(GosParams(2, 5, 0.1 + 0.2, 1.0 / 3.0)) == (
+            "r=2,n=5,m=0.30000000000000004,k=0.3333333333333333"
+        )
+
     def test_canonical_shorthands(self):
         assert format_gos(GosParams(2, 5, 0.0, 1.0)) == "os:r=2,n=5"
         assert format_gos(GosParams(3, 3, -1.0, 1.0)) == "record:r=3"
@@ -360,3 +376,5 @@ class TestGosSpecStrings:
             parse_gos("r=x,n=3")
         with pytest.raises(SpecFormatError, match="must be an integer"):
             parse_gos("r=1.5,n=3")
+        with pytest.raises(SpecFormatError, match="must be an integer, got 1.0000001 "):
+            parse_gos("r=1.0000001,n=3")

@@ -20,6 +20,7 @@ from concomitant_measures.fgm import (
     record_value,
 )
 from concomitant_measures.inaccuracy import (
+    MeasureResult,
     extremes_inaccuracy,
     inaccuracy_gos,
     quantile_form_inaccuracy,
@@ -156,6 +157,21 @@ class TestReversed:
     def test_c_star_zero(self):
         res = reversed_inaccuracy(model(Exponential(1.0), 1.0), order_statistics(1, 1))
         assert res.value == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m", FAMILIES + [Uniform(1.0)], ids=repr)
+    @pytest.mark.parametrize("alpha, p", [
+        (0.0, order_statistics(1, 3)),  # alpha = 0
+        (0.5, order_statistics(2, 3)),  # C* = 0
+        (-1.0, order_statistics(2, 3)),  # c = -0.0
+    ])
+    def test_zero_tilt_is_exactly_the_entropy(self, m, alpha, p):
+        # the integrand log1p(0) vanishes identically, so the quadrature adds
+        # exactly zero and no error
+        assert c_star(order_statistics(2, 3)) == 0.0
+        res = reversed_inaccuracy(model(m, alpha), p)
+        expected = MeasureResult(m.shannon_entropy(), "quadrature", 0.0)
+        assert res == expected
+        assert repr(res) == repr(expected)
 
     def test_uniform_oracle(self):
         # H = 0 and -Int_0^1 log(1 + 0.5 (1-2u)) du = 1 - (3/2) log(3/2) - (1/2) log 2

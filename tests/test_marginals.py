@@ -5,6 +5,7 @@ H and phi against u-space integrals of log f(Q(u)), CE and CE2 against the
 defining y-space integrals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,9 +19,11 @@ from concomitant_measures.marginals import (
     InverseWeibull,
     Logistic,
     Rayleigh,
+    MARGINAL_FAMILIES,
     SpecFormatError,
     Uniform,
     format_marginal,
+    format_number,
     parse_marginal,
 )
 from concomitant_measures.numerics import integrate
@@ -292,6 +295,31 @@ class TestSpecStrings:
     def test_round_trip(self):
         for m in ALL_FAMILIES:
             assert parse_marginal(format_marginal(m)) == m
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cls=st.sampled_from([c for c in MARGINAL_FAMILIES.values() if c is not Logistic]),
+        data=st.data(),
+    )
+    def test_round_trip_any_parameter(self, cls, data):
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        m = cls(**{f.name: data.draw(positive, label=f.name) for f in dataclasses.fields(cls)})
+        assert parse_marginal(format_marginal(m)) == m
+
+    def test_echo_digits(self):
+        assert format_marginal(InverseWeibull(1.5, 3.0)) == "invweibull:theta=1.5,beta=3"
+        assert format_marginal(Exponential(1e200)) == "exponential:theta=1e+200"
+        assert format_marginal(Exponential(1.2345671)) == "exponential:theta=1.2345671"
+        assert format_marginal(Exponential(0.1 + 0.2)) == "exponential:theta=0.30000000000000004"
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_format_number_is_shortest_round_trip(self, x):
+        text = format_number(x)
+        assert float(text) == x
+        digits = max(6, len(text.split("e")[0].lstrip("-").replace(".", "").lstrip("0")))
+        assert text == f"{x:.{digits}g}"
+        assert all(float(f"{x:.{p}g}") != x for p in range(6, digits))
 
     def test_errors_name_field_and_token(self):
         with pytest.raises(SpecFormatError, match="unknown marginal family 'gauss'"):
