@@ -229,11 +229,12 @@ def mc_validate(
     any parallel execution layout.  Requires ``replicates >= 100``.
 
     Replicates are computed in blocks of about 2^15 sample values (at least
-    one replicate per block): the block's uniforms are drawn substream by
-    substream, then one quantile call, one row-wise sort and one weighted
-    spacing sum serve the whole block.  Memory stays bounded for any
-    ``replicates``, and every replicate value is the one a separate
-    ``empirical_cpi`` of its own substream's sample gives, bit for bit.
+    one replicate per block): one :meth:`RngStream.block_uniforms` call seeds
+    the block's substreams together and draws their uniforms, then one
+    quantile call, one row-wise sort and one weighted spacing sum serve the
+    whole block.  Memory stays bounded for any ``replicates``, and every
+    replicate value is the one a separate ``empirical_cpi`` of its own
+    substream's sample gives, bit for bit.
     """
     if replicates < 100:
         raise ValueError(f"need replicates >= 100, got {replicates}")
@@ -245,8 +246,7 @@ def mc_validate(
     u = np.empty((min(rows, replicates), n))
     for start in range(0, replicates, rows):
         block = u[: min(rows, replicates - start)]
-        for j, row in enumerate(block):
-            row[:] = stream.substream(start + j).uniforms(n)
+        stream.block_uniforms(start, block)
         y = np.sort(marginal.quantile(block), axis=1)
         vals[start : start + len(block)] = np.sum(np.diff(y, axis=1) * w, axis=1)
     emp_mean = float(vals.mean())

@@ -338,7 +338,7 @@ class Uniform(MarginalFamily):
         return self.theta / 4.0
 
     def cumulative_entropy_max2(self):
-        return 2.0 * self.theta / 9.0
+        return self.theta / 4.5  # not 2 theta / 9, which overflows for theta > 9e307
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ array-native).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -309,6 +310,37 @@ def trigamma(x: float) -> float:
 
 # --- seedable uniform streams -------------------------------------------------
 
+# numpy's SeedSequence hash (O'Neill's randutils seed_seq_fe, with numpy's
+# MULT_B) and PCG64's 128-bit LCG multiplier, for RngStream.block_uniforms
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constant before and after each of ``steps`` hash steps from
+    step ``first`` on, as uint32 arrays: init * mult^k mod 2^32."""
+    h = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + steps + 1)]
+    return np.array(h[:-1], dtype=np.uint32), np.array(h[1:], dtype=np.uint32)
+
+
+def _hash(v: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """One SeedSequence hash step per column of the uint32 array ``v``."""
+    v = (v ^ before) * after
+    return v ^ (v >> 16)
+
+
+# generate_state(4, uint64) hashes the pool entries 0-3, then 0-3 again, into
+# 8 uint32 words, here shaped (2, 4)
+_STATE_HASH = tuple(h.reshape(2, 4) for h in _hash_constants(_INIT_B, _MULT_B, 0, 8))
+
+
+def _entropy_words(x: int) -> int:
+    """Number of uint32 words SeedSequence makes of the integer ``x``."""
+    return max(1, -(-x.bit_length() // 32))
+
 
 class RngStream:
     """A deterministic uniform(0,1) stream identified by (seed, stream_id).
@@ -316,7 +348,8 @@ class RngStream:
     Streams with different ``stream_id`` under the same seed are statistically
     independent (PCG64 seeded through a spawn key).  A stream is owned by a
     single consumer; parallel work should partition by stream_id or use
-    :meth:`substream`, never share one instance.
+    :meth:`substream` (or :meth:`block_uniforms` for many substreams at
+    once), never share one instance.
 
     Each value is (k + 1/2) 2^-53, with k the top 53 bits of one 64-bit PCG64
     output.  These are the values ``Generator.integers(0, 2**53)`` would give:
@@ -342,6 +375,56 @@ class RngStream:
         """Child stream ``index``; the mapping (seed, stream_id, index) -> sequence
         is fixed, independent of draw order or worker layout."""
         return RngStream(self.seed, self.stream_id, _key=self._key + (int(index),))
+
+    @functools.cached_property
+    def _block_seeding(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.random.PCG64]:
+        # MIX_MULT_L times this stream's SeedSequence pool, the hash constants
+        # of a child's index word (4 hash steps per entropy word before it, the
+        # run entropy padded to 4 words), and one PCG64 to reseed row by row.
+        words = max(4, _entropy_words(self.seed)) + sum(_entropy_words(k) for k in self._key)
+        index_hash = _hash_constants(_INIT_A, _MULT_A, 4 * words, 4)
+        return self._bits.seed_seq.pool * np.uint32(_MIX_MULT_L), index_hash, np.random.PCG64(0)
+
+    def block_uniforms(self, start: int, out: np.ndarray) -> None:
+        """Fill row j of the 2-d float64 array ``out`` with
+        ``self.substream(start + j).uniforms(out.shape[1])``, bit for bit.
+
+        A substream's SeedSequence entropy is this stream's entropy plus one
+        word, the index, and numpy hashes every word past the fourth into the
+        pool in turn.  So the pool this stream was seeded from is the common
+        prefix: only the index word and ``generate_state(4, uint64)`` are
+        hashed here, as uint32 arrays over the block.  Each row then sets the
+        PCG64 state those words seed on one reused bit generator.  Indices of
+        2^32 and above take two entropy words and go through :meth:`substream`.
+        """
+        rows, n = out.shape
+        raw = np.empty((rows, n), dtype=np.uint64)
+        fast = max(0, min(rows, 2**32 - start))
+        if fast:
+            mixed_pool, index_hash, bits = self._block_seeding
+            # SeedSequence.mix_entropy: pool[d] = mix(pool[d], hashmix(index))
+            v = _hash(np.arange(start, start + fast, dtype=np.uint32)[:, None], *index_hash)
+            v = mixed_pool - v * np.uint32(_MIX_MULT_R)
+            v = _hash((v ^ (v >> 16))[:, None, :], *_STATE_HASH)
+            # little-endian uint32 pairs make generate_state's 4 uint64 words;
+            # PCG64 takes its 128-bit seed from words 0, 1 and its stream from
+            # words 2, 3, each pair as (high, low)
+            seeds = v.astype("<u4", copy=False).view("<u8").tolist()
+            for j, ((s1, s0), (q1, q0)) in enumerate(seeds):
+                inc = ((q1 << 64 | q0) << 1 | 1) & _MASK128
+                seeded = ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128
+                bits.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": seeded, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                raw[j] = bits.random_raw(n)
+        for j in range(fast, rows):
+            raw[j] = self.substream(start + j)._bits.random_raw(n)
+        # the float64 operations of uniforms, in place
+        np.add(np.right_shift(raw, 11, out=raw), 0.5, out=out)
+        out *= 2.0**-53
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

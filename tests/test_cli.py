@@ -317,8 +317,6 @@ class TestOutOfRange:
          "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
         ("simulate --marginal uniform:theta=1e308 --gos record:r=2 --alpha 0.5 --n 10 --replicates 100",
          "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
-        ("measure --marginal uniform:theta=1e308 --gos os:r=1,n=3 --alpha 0.7 --measure cpi",
-         "cmeasure: arithmetic error: value is out of floating-point range"),
         ("simulate --marginal exponential:theta=1e307 --gos record:r=2 --alpha 0.5 --n 10 --replicates 100",
          "cmeasure: arithmetic error: empirical_mean is out of floating-point range"),
     ])
@@ -328,3 +326,17 @@ class TestOutOfRange:
                              capture_output=True, text=True, env=env)
         assert (run.returncode, run.stdout) == (1, "")
         assert run.stderr == message + "\n"
+
+
+def test_uniform_near_float_max_prints_finite_cpi(capsys):
+    # CE(Y_(2:2)) = 2 theta / 9 is formed without the overflowing 2 theta;
+    # CPI = theta ((1 + c)/4 - c/9) with c = alpha C* = 0.35
+    code, out, err = run_cli(
+        capsys, "measure", "--marginal", "uniform:theta=1e308", "--gos", "os:r=1,n=3",
+        "--alpha", "0.7", "--measure", "cpi", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    [record] = json.loads(out)
+    assert record["method"] == "closed_form"
+    assert math.isfinite(record["value"])
+    assert record["value"] == pytest.approx(1e308 * (1.35 / 4.0 - 0.35 / 9.0), rel=1e-14)

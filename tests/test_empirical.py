@@ -326,3 +326,17 @@ class TestMcValidateMatchesLoop:
             z = (vals - report.theoretical_mean) / math.sqrt(report.theoretical_variance)
             assert report.ks_normality == ks_statistic(z, standard_normal_cdf)
             assert report.bias == float(vals.mean()) - report.theoretical_mean
+
+    @pytest.mark.parametrize("n, replicates, block", MC_CASES[1:6])
+    def test_blocks_seed_without_substream(self, monkeypatch, n, replicates, block):
+        # every replicate index is below 2^32, so no block builds a substream
+        def no_substream(self, index):
+            raise AssertionError(f"substream({index}) called")
+
+        marginal, p, alpha = MC_FAMILIES[0]
+        vals = mc_replicates_loop(marginal, p, alpha, n, replicates, GeneratorStream(11, 4))
+        monkeypatch.setattr(empirical, "_MC_BLOCK", block)
+        monkeypatch.setattr(RngStream, "substream", no_substream)
+        report = mc_validate(marginal, p, alpha, n, replicates, RngStream(11, 4))
+        assert report.empirical_mean == float(vals.mean())
+        assert report.empirical_variance == float(vals.var(ddof=1))

@@ -350,3 +350,43 @@ class TestRngStreamMatchesGenerator:
             assert _same_bits(
                 a.substream(i).substream(3).uniforms(5), b.substream(i).substream(3).uniforms(5)
             )
+
+
+class TestBlockUniforms:
+    """Row j of block_uniforms(start, out) is substream(start + j).uniforms(n),
+    bit for bit, against np.random.SeedSequence through GeneratorStream."""
+
+    @staticmethod
+    def _parents(seed, stream_id):
+        """(RngStream, GeneratorStream) pairs: the stream and its substream 5."""
+        a, b = RngStream(seed, stream_id), GeneratorStream(seed, stream_id)
+        return [(a, b), (a.substream(5), b.substream(5))]
+
+    @staticmethod
+    def _check(parent, reference, start, rows, n):
+        out = np.full((rows, n), np.nan)
+        parent.block_uniforms(start, out)
+        expected = np.array([reference.substream(start + j).uniforms(n) for j in range(rows)])
+        assert _same_bits(out, expected.reshape(rows, n))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 11, 2**100 - 3, 2**128 + 5])
+    @pytest.mark.parametrize("stream_id", [0, 999, 2**32, 2**33 + 1])
+    def test_rows_are_substreams(self, seed, stream_id):
+        for parent, reference in self._parents(seed, stream_id):
+            for start, rows in ((0, 0), (0, 1), (7, 1), (0, 37), (123_456, 9)):
+                for n in (0, 1, 20):
+                    self._check(parent, reference, start, rows, n)
+
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**100 - 3, 2**33 + 1)])
+    def test_block_straddling_index_2_32(self, seed, stream_id):
+        # indices from 2^32 on take two entropy words: the substream fallback
+        for parent, reference in self._parents(seed, stream_id):
+            for start, rows in ((2**32 - 3, 6), (2**32 - 1, 1), (2**32, 2), (2**40, 3)):
+                self._check(parent, reference, start, rows, 20)
+
+    def test_leaves_the_stream_unchanged(self):
+        a, b = RngStream(3, 1), RngStream(3, 1)
+        a.uniforms(5)
+        b.uniforms(5)
+        a.block_uniforms(0, np.empty((4, 10)))
+        assert _same_bits(a.uniforms(50), b.uniforms(50))
