@@ -20,7 +20,7 @@ import numpy as np
 
 from .fgm import FgmModel, GosParams, c_star, extremes_coefficient
 from .marginals import MarginalFamily, _safe_log
-from .numerics import integrate, integrate_best_effort
+from .numerics import integrate
 
 __all__ = [
     "MeasureResult",
@@ -81,7 +81,7 @@ def reversed_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
     """
     c = model.alpha * c_star(p)
     m = model.marginal_y
-    q = integrate_best_effort(lambda u: np.log1p(c * (1.0 - 2.0 * u)), m.u_lower(), 1.0)
+    q = integrate(lambda u: np.log1p(c * (1.0 - 2.0 * u)), m.cdf(0.0), 1.0)
     return MeasureResult(m.shannon_entropy() - q.value, "quadrature", q.abs_error_estimate)
 
 
@@ -92,7 +92,6 @@ def quantile_form_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
     """
     c = model.alpha * c_star(p)
     m = model.marginal_y
-    u0 = m.u_lower()
 
     def integrand(u):
         # nodes can round onto an endpoint after deep refinement; the mass
@@ -102,7 +101,7 @@ def quantile_form_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
         log_q = -_safe_log(m.pdf(m.quantile(uu)))
         return np.where(interior, log_q * (1.0 + c * (1.0 - 2.0 * uu)), 0.0)
 
-    q = integrate_best_effort(integrand, u0, 1.0)
+    q = integrate(integrand, m.cdf(0.0), 1.0)
     return MeasureResult(q.value, "quantile_form", q.abs_error_estimate)
 
 

@@ -92,10 +92,6 @@ class MarginalFamily:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    def u_lower(self) -> float:
-        """cdf at 0, the lower limit of u-space measure integrals."""
-        return self.cdf(0.0)
-
     def pdf(self, y):
         return _float_or_array(self._pdf, y)
 

@@ -15,6 +15,10 @@ and with it the numpy overhead per call, is about halved.  A non-finite
 value at any node raises :class:`QuadratureError` naming that node in y, the
 left half's nodes before the right half's.
 
+``integrate`` either meets its tolerance or raises; an exhausted budget
+raises with the best estimate attached.  The one caller that accepts such an
+estimate is ``cpi.reversed_cpi``, a stopgap for heavy InverseWeibull tails.
+
 Integrands must accept a 1-d numpy array of abscissae and return an array of
 the same shape (plain ``math``-style scalar functions can be wrapped with
 ``numpy.vectorize`` by the caller, but every integrand in this package is
@@ -35,7 +39,6 @@ __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "integrate",
-    "integrate_best_effort",
     "digamma",
     "trigamma",
     "RngStream",
@@ -225,24 +228,6 @@ def integrate(
             half_budget_val = total_val
 
     return QuadratureResult(total_val, total_err, evals)
-
-
-def integrate_best_effort(f: Callable, lo: float, hi: float) -> QuadratureResult:
-    """:func:`integrate` that degrades gracefully on slow heavy-tail convergence.
-
-    Routes with no closed-form twin carry an explicit error bound, so when
-    the adaptive scheme exhausts its budget but the accumulated bound is
-    already tight (<= 1e-7 of scale), the best estimate is returned with that
-    larger error estimate instead of raising.  Divergence and non-finite
-    integrands still raise.
-    """
-    try:
-        return integrate(f, lo, hi)
-    except QuadratureError as exc:
-        best = exc.best
-        if best is not None and best.abs_error_estimate <= 1e-7 * max(1.0, abs(best.value)):
-            return best
-        raise
 
 
 # --- psi (digamma / trigamma) ------------------------------------------------

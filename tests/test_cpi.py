@@ -25,8 +25,9 @@ from concomitant_measures.marginals import (
     Logistic,
     Rayleigh,
     Uniform,
+    log_cdf_integral,
 )
-from concomitant_measures.numerics import integrate
+from concomitant_measures.numerics import QuadratureError, integrate
 from oracles import closed_form_cpi
 
 FAMILIES = [
@@ -202,6 +203,30 @@ class TestReversedCpi:
 
         direct = integrate(integrand, 0.0, math.inf).value
         assert reversed_cpi(mdl, p).value == pytest.approx(direct, rel=1e-7)
+
+
+class TestHeavyTailStopgap:
+    """reversed_cpi reports an exhausted budget's best estimate when its bound
+    is within 1e-7 of scale, and raises otherwise (ROADMAP item 2)."""
+
+    def test_tight_best_estimate_is_reported(self):
+        m, p, alpha = InverseWeibull(1.0, 1.5), GosParams(3, 3, -1.0, 1.0), -1.0
+        c = alpha * c_star(p)
+        with pytest.raises(QuadratureError, match="tolerance not reached") as info:
+            log_cdf_integral(m, lambda F, logF: F * np.log1p(c * (1.0 - F)), integrate)
+        best = info.value.best
+        expected = MeasureResult(
+            m.cumulative_entropy() - best.value, "quadrature", m.ce_error_estimate() + best.abs_error_estimate
+        )
+        res = reversed_cpi(model(m, alpha), p)
+        assert res == expected
+        assert repr(res) == repr(expected)
+
+    def test_loose_best_estimate_raises(self):
+        with pytest.raises(QuadratureError, match="tolerance not reached") as info:
+            reversed_cpi(model(InverseWeibull(1.0, 1.2), 1.0), order_statistics(2, 5))
+        best = info.value.best
+        assert best.abs_error_estimate > 1e-7 * max(1.0, abs(best.value))
 
 
 class TestBounds:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concomitant_measures import inaccuracy, numerics
 from concomitant_measures.fgm import (
     FgmModel,
     GosParams,
@@ -34,7 +35,7 @@ from concomitant_measures.marginals import (
     Rayleigh,
     Uniform,
 )
-from concomitant_measures.numerics import digamma, integrate
+from concomitant_measures.numerics import QuadratureError, QuadratureResult, digamma, integrate
 from oracles import LOGISTIC_TILT_CONSTANT, closed_form_inaccuracy
 
 EULER = 0.5772156649015328606
@@ -227,6 +228,22 @@ class TestQuantileForm:
         # frozen from an independent 30-digit quadrature of -Int g log f
         res = quantile_form_inaccuracy(model(InverseWeibull(1.1, 2.0), -1.0), record_value(5))
         assert res.value == pytest.approx(0.7619982739342558, rel=1e-8)
+
+
+@pytest.mark.parametrize("route", [reversed_inaccuracy, quantile_form_inaccuracy])
+def test_exhausted_budget_raises_even_with_a_tight_best_estimate(monkeypatch, route):
+    # a best estimate within 1e-7 of scale certifies nothing; of the measure
+    # routes only reversed_cpi reports one (tests/test_cpi.py)
+    best = QuadratureResult(0.5, 1e-12, 59_985)
+
+    def exhausted(f, lo, hi):
+        raise QuadratureError("tolerance not reached", best=best)
+
+    monkeypatch.setattr(numerics, "integrate", exhausted)
+    monkeypatch.setattr(inaccuracy, "integrate", exhausted)
+    with pytest.raises(QuadratureError, match="tolerance not reached") as info:
+        route(model(Exponential(1.0), 0.5), order_statistics(1, 3))
+    assert info.value.best is best
 
 
 class TestExtremesMeasure:

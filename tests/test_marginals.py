@@ -41,12 +41,12 @@ ALL_FAMILIES = [
 
 
 def quad_entropy(m):
-    u0 = m.u_lower()
+    u0 = m.cdf(0.0)
     return integrate(lambda u: -np.log(m.pdf(m.quantile(u))), u0, 1.0).value
 
 
 def quad_phi(m):
-    u0 = m.u_lower()
+    u0 = m.cdf(0.0)
     return integrate(lambda u: u * np.log(m.pdf(m.quantile(u))), u0, 1.0).value
 
 
