@@ -54,16 +54,19 @@ __all__ = [
 
 
 def spacings(values) -> np.ndarray:
-    """Gaps between consecutive order statistics of a sample (sorted internally)."""
+    """Gaps between consecutive order statistics of a sample (sorted
+    internally), along the last axis."""
     z = np.sort(np.asarray(values, dtype=float))
     if z.size < 2:
         raise ValueError("need a sample of size >= 2")
     return np.diff(z)
 
 
-def _weighted_spacing_sum(values, coeff: float) -> float:
-    u = spacings(values)
-    return float(np.sum(u * _estimator_weights(u.size + 1, coeff)))
+def _spacing_sum(samples, weights) -> np.ndarray:
+    """sum_j U_j w_j over the spacings U of each sample along the last axis,
+    with w = weights(n) for samples of size n: every spacings estimator."""
+    u = spacings(samples)
+    return np.sum(u * weights(u.shape[-1] + 1), axis=-1)
 
 
 def empirical_cpi(values, alpha: float, p: GosParams) -> float:
@@ -74,7 +77,8 @@ def empirical_cpi(values, alpha: float, p: GosParams) -> float:
     """
     if not abs(alpha) <= 1.0:
         raise ValueError(f"|alpha| must be <= 1, got {alpha}")
-    return _weighted_spacing_sum(values, alpha * c_star(p))
+    coeff = alpha * c_star(p)
+    return float(_spacing_sum(values, lambda n: _estimator_weights(n, coeff)))
 
 
 def empirical_cpi_record(values, alpha: float, r: int) -> float:
@@ -84,14 +88,17 @@ def empirical_cpi_record(values, alpha: float, r: int) -> float:
 
 def empirical_cumulative_entropy(values) -> float:
     """Spacings estimator of CE(Y): sum U_j (j/n)(-log(j/n))."""
-    return _weighted_spacing_sum(values, 0.0)
+    return float(_spacing_sum(values, lambda n: _estimator_weights(n, 0.0)))
 
 
 def empirical_cumulative_entropy_max2(values) -> float:
     """Spacings estimator of CE(Y_(2:2)): sum U_j (j/n)^2 (-2 log(j/n))."""
-    u = spacings(values)
-    j = np.arange(1, u.size + 1) / (u.size + 1)
-    return float(np.sum(u * (-2.0 * j**2 * np.log(j))))
+
+    def weights(n):
+        j = np.arange(1, n) / n
+        return -2.0 * j**2 * np.log(j)
+
+    return float(_spacing_sum(values, weights))
 
 
 def _estimator_weights(n: int, coeff: float) -> np.ndarray:
@@ -231,10 +238,10 @@ def mc_validate(
     Replicates are computed in blocks of about 2^15 sample values (at least
     one replicate per block): one :meth:`RngStream.block_uniforms` call seeds
     the block's substreams together and draws their uniforms, then one
-    quantile call, one row-wise sort and one weighted spacing sum serve the
-    whole block.  Memory stays bounded for any ``replicates``, and every
-    replicate value is the one a separate ``empirical_cpi`` of its own
-    substream's sample gives, bit for bit.
+    quantile call and one row-wise spacing sum, the kernel ``empirical_cpi``
+    runs on a single sample, serve the whole block.  Memory stays bounded for
+    any ``replicates``, and every replicate value is the one a separate
+    ``empirical_cpi`` of its own substream's sample gives, bit for bit.
     """
     if replicates < 100:
         raise ValueError(f"need replicates >= 100, got {replicates}")
@@ -247,8 +254,7 @@ def mc_validate(
     for start in range(0, replicates, rows):
         block = u[: min(rows, replicates - start)]
         stream.block_uniforms(start, block)
-        y = np.sort(marginal.quantile(block), axis=1)
-        vals[start : start + len(block)] = np.sum(np.diff(y, axis=1) * w, axis=1)
+        vals[start : start + len(block)] = _spacing_sum(marginal.quantile(block), lambda _: w)
     emp_mean = float(vals.mean())
     emp_var = float(vals.var(ddof=1))
     mo = theoretical_moments(marginal, p, alpha, n)

@@ -131,11 +131,6 @@ class FgmModel:
         Fy = self.marginal_y.cdf(y)
         return fx * fy * (1.0 + self.alpha * (2.0 * Fx - 1.0) * (2.0 * Fy - 1.0))
 
-    def joint_cdf(self, x, y):
-        Fx = self.marginal_x.cdf(x)
-        Fy = self.marginal_y.cdf(y)
-        return Fx * Fy * (1.0 + self.alpha * (1.0 - Fx) * (1.0 - Fy))
-
 
 def concomitant_pdf(model: FgmModel, p: GosParams, y):
     """pdf of the concomitant of the r-th GOS: f_Y [1 + alpha C* (1 - 2 F_Y)]."""
