@@ -5,6 +5,7 @@ the integrals and special values / functional equations for psi.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +233,20 @@ class TestPsi:
             k = np.arange(0, K, dtype=float)
             approx = -EULER + float(np.sum(1.0 / (k + 1.0) - 1.0 / (k + x))) + (x - 1.0) / K
             assert digamma(x) == pytest.approx(approx, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_exact_identities(self, n):
+        # psi and psi' at integers and half-integers from exact rational sums
+        eps = np.finfo(float).eps
+        odd = [Fraction(1, 2 * k - 1) for k in range(1, n + 1)]
+        cases = [
+            (digamma(n), -EULER + float(sum(Fraction(1, k) for k in range(1, n)))),
+            (digamma(n + 0.5), -EULER - 2.0 * math.log(2.0) + float(2 * sum(odd))),
+            (trigamma(n), math.pi**2 / 6.0 - float(sum(Fraction(1, k * k) for k in range(1, n)))),
+            (trigamma(n + 0.5), math.pi**2 / 2.0 - float(4 * sum(f * f for f in odd))),
+        ]
+        for value, ref in cases:
+            assert abs(value - ref) <= 8.0 * eps * max(1.0, abs(ref))
 
     def test_recurrence_grid(self):
         xs = np.logspace(-3, 6, 1000)
