@@ -232,9 +232,8 @@ def integrate(
 
 # --- psi (digamma / trigamma) ------------------------------------------------
 #
-# Recurrence shift to x >= 10, then the de Moivre series with Bernoulli-number
-# coefficients.  There the first omitted terms are below 1e-16 (digamma's,
-# B16/(16 x^16), is about 1.6e-13 at x = 6), so both are good to a few ulps.
+# Recurrence shift to x >= 10, where the first omitted terms of the de Moivre
+# series (Bernoulli-number coefficients) are below 1e-16: a few ulps.
 
 
 def digamma(x: float) -> float:
