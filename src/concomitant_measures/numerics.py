@@ -113,9 +113,8 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-# QUADPACK's round-off floor on a panel's error.  Kept a numpy scalar: where
-# the floor wins, its type is what the reported error estimates carry.
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+# QUADPACK's round-off floor on a panel's error.
+_ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 
 
 def _kronrod(fx: np.ndarray, half: float) -> tuple[float, float]:

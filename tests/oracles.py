@@ -125,7 +125,7 @@ def _kronrod_panel(f, lo, hi):
     resasc *= half
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * np.finfo(float).eps * resabs * half)
+    err = max(err, 50.0 * float(np.finfo(float).eps) * resabs * half)
     return resk * half, err
 
 

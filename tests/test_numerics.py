@@ -33,6 +33,12 @@ class TestIntegrate:
         assert res.abs_error_estimate >= 0.0
         assert res.evaluations >= 15
 
+    def test_round_off_floor_is_a_python_float(self):
+        # a constant makes the Gauss and Kronrod sums agree, so the floor wins
+        res = integrate(np.ones_like, 0.0, 1.0)
+        assert res.abs_error_estimate > 0.0
+        assert type(res.abs_error_estimate) is float
+
     def test_log_endpoint_singularity(self):
         # antiderivative: u^2/2 log(1-u) integrates by parts to -3/4
         res = integrate(lambda u: u * np.log1p(-u), 0.0, 1.0)
