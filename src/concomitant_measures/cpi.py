@@ -31,19 +31,15 @@ __all__ = [
 def cpi_gos(model: FgmModel, p: GosParams, method: str = "closed_form") -> MeasureResult:
     """I(G_[r,n,m,k], F_Y).
 
-    The decomposition route is tagged "closed_form" when the marginal's CE
-    and CE(Y_(2:2)) are analytic, otherwise "quadrature" (its ingredients are
-    cached quadratures).  ``method="quadrature"`` integrates -Int G log F
-    directly.
+    ``method="closed_form"`` composes the decomposition from the marginal's
+    closed-form CE and CE(Y_(2:2)); ``method="quadrature"`` integrates
+    -Int G log F directly.
     """
     c = model.alpha * c_star(p)
     m = model.marginal_y
     if method == "closed_form":
         value = (1.0 + c) * m.cumulative_entropy() - 0.5 * c * m.cumulative_entropy_max2()
-        if type(m).ce_exact:
-            return MeasureResult(value, "closed_form")
-        err = (1.0 + abs(c)) * m.ce_error_estimate() + 0.5 * abs(c) * m.ce2_error_estimate()
-        return MeasureResult(value, "quadrature", err)
+        return MeasureResult(value, "closed_form")
     if method == "quadrature":
         q = log_cdf_integral(m, lambda F, logF: -(F * (1.0 + c * (1.0 - F))) * logF, integrate)
         return MeasureResult(q.value, "quadrature", q.abs_error_estimate)
@@ -70,7 +66,7 @@ def reversed_cpi(model: FgmModel, p: GosParams) -> MeasureResult:
         q = exc.best
         if q is None or not q.abs_error_estimate <= 1e-7 * max(1.0, abs(q.value)):
             raise
-    return MeasureResult(ce - q.value, "quadrature", m.ce_error_estimate() + q.abs_error_estimate)
+    return MeasureResult(ce - q.value, "quadrature", q.abs_error_estimate)
 
 
 def check_cpi_bounds(model: FgmModel, p: GosParams) -> str:

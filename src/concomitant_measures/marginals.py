@@ -17,17 +17,14 @@ but its functionals are the y > 0 values (H(Y) is exactly 1 under this
 convention, not the full-line value 2 -- every closed-form identity in the
 measure modules requires this reading).
 
-Entropy and phi are analytic for every family.  CE/CE2 are analytic except
-for Rayleigh and Logistic, which fall back to quadrature (cached per
-instance).
+All four are closed forms for every family.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +47,7 @@ __all__ = [
 ]
 
 _EULER = 0.5772156649015328606
+_LI2_HALF = 0.58224052646501250590  # dilogarithm Li2(1/2) = pi^2/12 - (log 2)^2/2
 
 
 class SpecFormatError(ValueError):
@@ -77,8 +75,6 @@ class MarginalFamily:
     for 0-d input and an array of the input's shape otherwise, and
     ``quantile`` requires every argument strictly inside (0, 1).
     """
-
-    ce_exact: ClassVar[bool] = True
 
     def __post_init__(self):
         # every family parameter is a scale or a shape: finite and positive
@@ -110,19 +106,12 @@ class MarginalFamily:
             raise ValueError("quantile argument must lie strictly inside (0, 1)")
         return _float_or_array(self._quantile, u)
 
-    # CE/CE2 default to quadrature of their definitions; families with a
-    # closed form override.
-    def cumulative_entropy(self) -> float:
-        return _ce_quadrature(self, 1).value
-
-    def cumulative_entropy_max2(self) -> float:
-        return _ce_quadrature(self, 2).value
-
+    # CE and CE2 are closed forms in every family
     def ce_error_estimate(self) -> float:
-        return 0.0 if type(self).ce_exact else _ce_quadrature(self, 1).abs_error_estimate
+        return 0.0
 
     def ce2_error_estimate(self) -> float:
-        return 0.0 if type(self).ce_exact else _ce_quadrature(self, 2).abs_error_estimate
+        return 0.0
 
 
 def _float_or_array(kernel, x):
@@ -131,7 +120,7 @@ def _float_or_array(kernel, x):
     return float(out) if x.ndim == 0 else out
 
 
-def log_cdf_integral(m: MarginalFamily, term: Callable, quad: Callable) -> QuadratureResult:
+def log_cdf_integral(m: MarginalFamily, term: Callable, quad: Callable = integrate) -> QuadratureResult:
     """``quad`` of term(F, log F) over y in (0, hi), the measure domain.
 
     F = exp(log F) comes from the family's tail-accurate ``log_cdf`` (log of
@@ -144,12 +133,6 @@ def log_cdf_integral(m: MarginalFamily, term: Callable, quad: Callable) -> Quadr
         return np.where(np.isfinite(logF), term(np.exp(logF), logF), 0.0)
 
     return quad(integrand, 0.0, m.support()[1])
-
-
-@functools.lru_cache(maxsize=None)
-def _ce_quadrature(m: MarginalFamily, power: int) -> QuadratureResult:
-    # -F^p log F^p with F^p = exp(p log F)
-    return log_cdf_integral(m, lambda F, logF: -power * np.exp(power * logF) * logF, integrate)
 
 
 @dataclass(frozen=True)
@@ -191,11 +174,10 @@ class Exponential(MarginalFamily):
 class Logistic(MarginalFamily):
     """Standard logistic: F(y) = 1/(1 + exp(-y)), support all of R.
 
-    The information functionals are the y > 0 values (see module docstring);
-    there is no closed form for CE/CE2, so those go through quadrature.
+    The information functionals are the y > 0 values (see module docstring).
+    With u = F(y), CE = -Int_{1/2}^1 log u / (1 - u) du = Li2(1/2) and
+    CE2 = 2 Li2(1/2) - 1 + log 2.
     """
-
-    ce_exact: ClassVar[bool] = False
 
     def support(self):
         return (-math.inf, math.inf)
@@ -221,13 +203,18 @@ class Logistic(MarginalFamily):
     def phi_f(self):
         return -0.625 - 0.25 * math.log(2.0)
 
+    def cumulative_entropy(self):
+        return _LI2_HALF
+
+    def cumulative_entropy_max2(self):
+        return 2.0 * _LI2_HALF - 1.0 + math.log(2.0)
+
 
 @dataclass(frozen=True)
 class Rayleigh(MarginalFamily):
     """Rayleigh with scale sigma: F(y) = 1 - exp(-y^2 / (2 sigma^2))."""
 
     sigma: float = 1.0
-    ce_exact: ClassVar[bool] = False
 
     def support(self):
         return (0.0, math.inf)
@@ -251,6 +238,16 @@ class Rayleigh(MarginalFamily):
 
     def phi_f(self):
         return -0.5 * math.log(self.sigma) - 0.75 + 0.5 * math.log(2.0) - 0.25 * _EULER
+
+    # CE = kappa1 sigma and CE2 = kappa2 sigma; expanding -log F in powers of
+    # exp(-y^2 / (2 sigma^2)) gives
+    #   kappa1 = sqrt(pi/2) sum_{k>=1} (1/k) (k^(-1/2) - (k+1)^(-1/2)),
+    #   kappa2 = sqrt(2 pi) sum_{k>=1} (1/k) (k^(-1/2) - 2 (k+1)^(-1/2) + (k+2)^(-1/2)).
+    def cumulative_entropy(self):
+        return 0.53687701136439642053 * self.sigma
+
+    def cumulative_entropy_max2(self):
+        return 0.51599767390113522386 * self.sigma
 
 
 @dataclass(frozen=True)

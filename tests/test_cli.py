@@ -165,9 +165,10 @@ class TestMeasure:
             values.append(row["value"])
         assert values[0] != values[1]
 
-    @pytest.mark.parametrize("measure", ["reversed_inaccuracy", "reversed_cpi", "bounds"])
+    @pytest.mark.parametrize("measure", ["reversed_inaccuracy", "reversed_cpi"])
     def test_overflow_in_a_kernel_exit_1(self, capsys, measure):
-        # sigma**2 overflows in the Rayleigh kernels
+        # sigma**2 overflows in the Rayleigh kernels, which only the
+        # quadrature routes evaluate
         code, out, err = run_cli(
             capsys, "measure", "--marginal", "rayleigh:sigma=1e200",
             "--gos", "os:r=1,n=3", "--alpha", "0.5", "--measure", measure,
@@ -175,6 +176,17 @@ class TestMeasure:
         assert (code, out) == (1, "")
         assert err.startswith("cmeasure: arithmetic error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("measure, value", [("cpi", "6.06596554967854e+199"), ("bounds", "above_CE")])
+    def test_closed_forms_at_a_huge_scale(self, capsys, measure, value):
+        # CE and CE2 scale with sigma and never evaluate the kernels
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", "rayleigh:sigma=1e200",
+            "--gos", "os:r=1,n=3", "--alpha", "0.5", "--measure", measure,
+        )
+        assert (code, err) == (0, "")
+        row = parse_csv(out)[0]
+        assert (row["value"], row["method"]) == (value, "closed_form")
 
     def test_value_that_prints_out_of_range_exit_1(self, capsys, monkeypatch):
         # the largest double rounds up to inf at the 15 printed digits
@@ -313,7 +325,7 @@ class TestOutOfRange:
     stderr line: no traceback, no warning and no non-finite value printed."""
 
     @pytest.mark.parametrize("argv, message", [
-        ("measure --marginal rayleigh:sigma=1e200 --gos os:r=1,n=3 --alpha 0.5 --measure cpi",
+        ("measure --marginal rayleigh:sigma=1e200 --gos os:r=1,n=3 --alpha 0.5 --measure reversed_cpi",
          "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
         ("simulate --marginal uniform:theta=1e308 --gos record:r=2 --alpha 0.5 --n 10 --replicates 100",
          "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),

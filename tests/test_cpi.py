@@ -15,6 +15,7 @@ from concomitant_measures.fgm import (
     GosParams,
     c_star,
     order_statistics,
+    parse_gos,
     record_value,
 )
 from concomitant_measures.inaccuracy import MeasureResult
@@ -29,6 +30,8 @@ from concomitant_measures.marginals import (
 )
 from concomitant_measures.numerics import QuadratureError, integrate
 from oracles import closed_form_cpi
+from test_golden import ALPHAS as GOLDEN_ALPHAS
+from test_golden import GOS as GOLDEN_GOS
 
 FAMILIES = [
     Exponential(1.3),
@@ -52,9 +55,21 @@ class TestDecomposition:
 
     def test_method_tags(self):
         p = order_statistics(1, 3)
-        assert cpi_gos(model(Exponential(1.0), 0.5), p).method == "closed_form"
-        assert cpi_gos(model(Rayleigh(1.0), 0.5), p).method == "quadrature"
+        for m in FAMILIES:
+            res = cpi_gos(model(m, 0.5), p)
+            assert (res.method, res.abs_error_estimate) == ("closed_form", 0.0)
         assert cpi_gos(model(Exponential(1.0), 0.5), p, method="quadrature").method == "quadrature"
+
+    @pytest.mark.parametrize("m", [Logistic(), Rayleigh(1.0), Rayleigh(0.8)], ids=repr)
+    def test_closed_form_within_the_quadrature_bound(self, m):
+        # the two routes share no code: CE and CE2 are closed forms here too
+        eps = np.finfo(float).eps
+        for gos in GOLDEN_GOS:
+            for alpha in GOLDEN_ALPHAS:
+                mdl, p = model(m, float(alpha)), parse_gos(gos)
+                closed = cpi_gos(mdl, p).value
+                quad = cpi_gos(mdl, p, method="quadrature")
+                assert abs(closed - quad.value) <= quad.abs_error_estimate + 8 * eps * abs(closed)
 
     def test_uniform_closed_form(self):
         # theta/4 + alpha C* 5 theta/36
@@ -153,10 +168,10 @@ class TestReversedCpi:
     ])
     def test_zero_tilt_is_exactly_the_cumulative_entropy(self, m, alpha, p):
         # the integrand F log1p(0) vanishes identically, so the quadrature adds
-        # exactly zero to both the value and the error of CE
+        # exactly zero to the closed-form CE and has no error
         assert c_star(order_statistics(2, 3)) == 0.0
         res = reversed_cpi(model(m, alpha), p)
-        expected = MeasureResult(m.cumulative_entropy(), "quadrature", m.ce_error_estimate())
+        expected = MeasureResult(m.cumulative_entropy(), "quadrature", 0.0)
         assert res == expected
         assert repr(res) == repr(expected)
 
@@ -215,9 +230,7 @@ class TestHeavyTailStopgap:
         with pytest.raises(QuadratureError, match="tolerance not reached") as info:
             log_cdf_integral(m, lambda F, logF: F * np.log1p(c * (1.0 - F)), integrate)
         best = info.value.best
-        expected = MeasureResult(
-            m.cumulative_entropy() - best.value, "quadrature", m.ce_error_estimate() + best.abs_error_estimate
-        )
+        expected = MeasureResult(m.cumulative_entropy() - best.value, "quadrature", best.abs_error_estimate)
         res = reversed_cpi(model(m, alpha), p)
         assert res == expected
         assert repr(res) == repr(expected)

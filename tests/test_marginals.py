@@ -40,6 +40,10 @@ ALL_FAMILIES = [
 ]
 
 
+def within_ulps(x: float, ref, ulps: int = 2) -> bool:
+    return abs(x - ref) <= ulps * math.ulp(x)
+
+
 def quad_entropy(m):
     u0 = m.cdf(0.0)
     return integrate(lambda u: -np.log(m.pdf(m.quantile(u))), u0, 1.0).value
@@ -216,6 +220,29 @@ class TestFunctionalValues:
         for c in (2.0, 3.5, 10.0):
             assert Uniform(c).cumulative_entropy() == c * base
 
+    def test_logistic_ce_against_the_dilogarithm(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            li2 = mp.polylog(2, mp.mpf(1) / 2)
+            assert within_ulps(Logistic().cumulative_entropy(), li2)
+            assert within_ulps(Logistic().cumulative_entropy_max2(), 2 * li2 - 1 + mp.log(2))
+
+    def test_rayleigh_ce_constants_against_quadrature_and_series(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            F = lambda y: -mp.expm1(-y * y / 2)  # noqa: E731
+            by_quad = [mp.quad(lambda y: -p * F(y) ** p * mp.log(F(y)), [0, 2, 8, mp.inf]) for p in (1, 2)]
+            by_series = [
+                mp.sqrt(mp.pi / 2) * mp.nsum(lambda k: (k**-0.5 - (k + 1) ** -0.5) / k, [1, mp.inf],
+                                             method="euler-maclaurin"),
+                mp.sqrt(2 * mp.pi) * mp.nsum(lambda k: (k**-0.5 - 2 * (k + 1) ** -0.5 + (k + 2) ** -0.5) / k,
+                                             [1, mp.inf], method="euler-maclaurin"),
+            ]
+            m = Rayleigh(1.0)
+            for got, quad, series in zip((m.cumulative_entropy(), m.cumulative_entropy_max2()), by_quad, by_series):
+                assert within_ulps(got, quad)
+                assert within_ulps(got, series)
+
     def test_rayleigh_entropy_against_quadrature(self):
         # the closed form uses psi(1) = -gamma; quadrature settles the sign
         for sigma in (0.5, 1.0, 2.0):
@@ -240,11 +267,8 @@ def test_functionals_agree_with_quadrature_on_grid(family_grid):
         H = m.shannon_entropy()
         assert H == pytest.approx(quad_entropy(m), rel=1e-8, abs=1e-9)
         assert m.phi_f() == pytest.approx(quad_phi(m), rel=1e-8, abs=1e-9)
-        if type(m).ce_exact:
-            ce = m.cumulative_entropy()
-            ce2 = m.cumulative_entropy_max2()
-            assert ce == pytest.approx(quad_ce(m, 1), rel=1e-8)
-            assert ce2 == pytest.approx(quad_ce(m, 2), rel=1e-8)
+        assert m.cumulative_entropy() == pytest.approx(quad_ce(m, 1), rel=1e-8)
+        assert m.cumulative_entropy_max2() == pytest.approx(quad_ce(m, 2), rel=1e-8)
 
 
 class TestDomainErrors:
