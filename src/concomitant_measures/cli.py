@@ -18,6 +18,9 @@ the CM_SEED environment variable, then to 0.
 Exit codes: 0 success, 1 domain error, out-of-range result or unallocatable
 size, 2 spec-string parse error, 3 numerical failure (the quadrature could not
 certify its tolerance; the message carries the best estimate).
+
+The argument parser is built once per process, at the first call of main,
+and reused by every later call.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -78,6 +82,9 @@ TABLE2_REFERENCE = {
 _TABLE_R = 2
 
 
+# parse_args returns a fresh namespace, so reuse is safe while the parser
+# holds no route function and no per-call state
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cmeasure", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

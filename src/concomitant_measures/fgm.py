@@ -13,6 +13,7 @@ which reduces to (n - 2r + 1)/(n + 1) for ordinary order statistics
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +67,9 @@ class GosParams:
             )
 
     def gamma(self, j: int) -> float:
-        return self.k + (self.n - j) * (self.m + 1.0)
+        # in double precision whatever the type of m and k, so that equal
+        # parameters give equal gammas (c_star is memoised on them)
+        return float(self.k) + (self.n - j) * (float(self.m) + 1.0)
 
     def is_order_statistics(self) -> bool:
         return self.m == 0.0 and self.k == 1.0
@@ -87,8 +90,13 @@ def record_value(r: int) -> GosParams:
 
 # c_star multiplies this many factors per numpy call, which bounds its memory
 _C_STAR_BLOCK = 1 << 16
+# past this r, order statistics take the exact O(1) form instead of the product
+_C_STAR_EXACT_R = 1 << 20
+# distinct GosParams whose C* is kept; one measure or table call needs one
+_C_STAR_CACHE = 256
 
 
+@functools.lru_cache(maxsize=_C_STAR_CACHE)
 def c_star(p: GosParams) -> float:
     """Concomitant coefficient C*(r, n, m, k); always inside [-1, 1].
 
@@ -96,8 +104,17 @@ def c_star(p: GosParams) -> float:
     rounds exactly as the plain loop does; the closed forms for order
     statistics and records differ from it in the last bits.  Every factor is
     at most 1, so once the product is <= 2^-55, 2 prod - 1 rounds to -1 for
-    good and the remaining factors are skipped.
+    good and the remaining factors are skipped.  Order statistics past
+    r = 2^20 take (n - 2r + 1)/(n + 1) instead, correctly rounded; other
+    (m, k) stay O(r).
+
+    Memoised on ``p``: GosParams that compare equal, such as m=-0.0 and
+    m=0.0, k=1 and k=1.0, or a float32 m and its float64 value, give the
+    same gammas, hence the same product.
     """
+    if p.r > _C_STAR_EXACT_R and p.is_order_statistics():
+        # the product telescopes to (n - r + 1)/(n + 1); int / int rounds once
+        return (p.n - 2 * p.r + 1) / (p.n + 1)
     # n - j is formed exactly and then rounded once, as in the loop; an n
     # beyond int64 needs Python integers for that
     dtype = np.int64 if p.n < 2**63 else object

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,17 @@ class TestMeasure:
         row = parse_csv(out)[0]
         assert row["gos"] == "record:r=1000000000000"
         assert float(row["value"]) == 1.25
+
+    def test_large_order_statistic_index_does_not_hang(self, capsys):
+        # past r = 2^20, C* of an order statistic is (n - 2r + 1)/(n + 1)
+        code, out, _ = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1",
+            "--gos", "os:r=1e12,n=1e12", "--alpha", "0.5", "--measure", "inaccuracy",
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["gos"] == "os:r=1000000000000,n=1000000000000"
+        assert float(row["value"]) == pytest.approx(1.25, abs=1e-11)
 
     def test_numerical_failure_exit_3(self, capsys):
         # the heavy tail at beta = 1.2 exhausts the quadrature budget
@@ -318,6 +330,43 @@ class TestSimulate:
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stderr == b""
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may change what a later
+    call prints, whatever the earlier call was."""
+
+    MEASURE = ["measure", "--marginal", "rayleigh:sigma=0.8", "--gos", "record:r=3", "--alpha", "-0.7"]
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("first, first_code, then", [
+        (MEASURE[:-1] + ["x"], 2, MEASURE),
+        (["measure", "--help"], 0, MEASURE),
+        # the append action must not carry "cpi" over: all five measures again
+        (MEASURE + ["--measure", "cpi"], 0, MEASURE),
+        (MEASURE + ["--format", "json"], 0, MEASURE),
+        (["simulate", "--marginal", "uniform:theta=1", "--gos", "record:r=2", "--alpha", "-1",
+          "--n", "10", "--replicates", "100"], 0, ["table", "--table", "2"]),
+    ])
+    def test_a_call_leaks_nothing_into_the_next(self, first, first_code, then):
+        cli._build_parser.cache_clear()
+        alone = self.run(then)
+        assert alone[0] == 0
+        cli._build_parser.cache_clear()
+        code, out, err = self.run(first)
+        assert code == first_code
+        assert (out if code == 0 else err) != ""
+        assert self.run(then) == alone
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestOutOfRange:

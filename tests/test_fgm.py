@@ -1,6 +1,7 @@
 """FGM model, C* coefficient, concomitant laws, and samplers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,10 +69,13 @@ class TestCStar:
             assert value == c_star_loop(r, n, m, k), (r, n, m, k)
 
     @pytest.mark.parametrize("block", [3, 64, fgm._C_STAR_BLOCK])
-    def test_bitwise_equal_to_the_loop_past_underflow(self, monkeypatch, block):
+    def test_bitwise_equal_to_the_loop_past_underflow(self, monkeypatch, request, block):
         # once the product is <= 2^-55, c_star stops at the next block
         # boundary and returns -1.0; the loop must give exactly that
         monkeypatch.setattr(fgm, "_C_STAR_BLOCK", block)
+        # no value computed at another block size may be served from the memo
+        fgm.c_star.cache_clear()
+        request.addfinalizer(fgm.c_star.cache_clear)
         cases = [(r, n, m, k) for m, n, k in [(-1.0, 400, 0.01), (-1.0, 400, 0.5), (-1.0, 400, 1.0),
                                               (-1.0, 400, 3.0), (-0.9, 400, 0.01), (-0.9, 400, 0.5),
                                               (-0.5, 400, 1.0), (2.0, 50, 1.0)]
@@ -83,6 +87,40 @@ class TestCStar:
             assert c_star(GosParams(r, n, m, k)) == expected, (r, n, m, k)
             minus_one += expected == -1.0
         assert minus_one > 300
+        assert fgm.c_star.cache_info().hits == 0
+
+    @pytest.mark.parametrize("r, n", [(1, 1), (7, 20), (65_537, 10**12)])
+    @pytest.mark.parametrize("first, second", [((-0.0, 1), (0.0, 1.0)), ((0.0, 1.0), (-0.0, 1)),
+                                               ((0.5, 1), (0.5, 1.0)), ((0.5, 1.0), (0.5, 1)),
+                                               ((-1.0, 1), (-1, 1.0)), ((-1, 1.0), (-1.0, 1)),
+                                               ((np.float32(2**-30), 1.0), (2**-30, 1.0)),
+                                               ((2**-30, 1.0), (np.float32(2**-30), 1.0))])
+    def test_equal_keys_written_differently_give_the_loop(self, request, r, n, first, second):
+        # the memo serves the second key from the first; each must be the
+        # loop's value in double precision (a float32 m + 1.0 would round)
+        fgm.c_star.cache_clear()
+        request.addfinalizer(fgm.c_star.cache_clear)
+        for m, k in (first, second):
+            assert GosParams(r, n, m, k) == GosParams(r, n, *first)
+            assert c_star(GosParams(r, n, m, k)) == c_star_loop(r, n, float(m), float(k)), (r, n, m, k)
+        assert fgm.c_star.cache_info().hits == 1
+
+    @pytest.mark.parametrize("r, n", [(2**20 + 1, 2**20 + 1), (2**20 + 1, 2**21 + 1),
+                                      (2**20 + 1, 3 * 2**20 + 7), (2**20 + 1, 10**12), (2**20 + 1, 10**19),
+                                      (10**12, 10**12), (10**12, 2 * 10**12 - 1), (10**12, 3 * 10**12 + 1),
+                                      (10**12, 10**19 - 1), (10**12, 10**19), (5 * 10**18, 10**19),
+                                      (10**19, 10**19)])
+    def test_order_statistics_past_the_product_are_correctly_rounded(self, r, n):
+        assert fgm._C_STAR_EXACT_R == 2**20
+        value = c_star(order_statistics(r, n))
+        assert type(value) is float
+        assert value == float(Fraction(n - 2 * r + 1, n + 1))
+
+    def test_order_statistics_keep_the_product_up_to_r0(self):
+        # there the loop's value is off the exact one from the 7th digit on
+        r = fgm._C_STAR_EXACT_R
+        exact = float(Fraction(1, 2 * r + 1))  # (n - 2r + 1)/(n + 1) at n = 2r
+        assert c_star(order_statistics(r, 2 * r)) == c_star_loop(r, 2 * r, 0.0, 1.0) != exact
 
     def test_invalid_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
