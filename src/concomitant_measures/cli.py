@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -153,13 +152,13 @@ def _cmd_measure(args) -> list[dict]:
     requested = args.measure or ["all"]
     if "all" in requested:
         requested = MEASURE_NAMES
-    return [
-        {
-            "command": "measure", "marginal": format_marginal(marginal), "gos": format_gos(gos),
-            "alpha": args.alpha, "measure": name, **dataclasses.asdict(routes[name](model, gos)),
-        }
-        for name in requested
-    ]
+    head = {"command": "measure", "marginal": format_marginal(marginal), "gos": format_gos(gos), "alpha": args.alpha}
+    records = []
+    for name in requested:
+        result = routes[name](model, gos)
+        records.append({**head, "measure": name, "value": result.value, "method": result.method,
+                        "abs_error_estimate": result.abs_error_estimate})
+    return records
 
 
 def _cmd_table(args) -> list[dict]:
@@ -186,7 +185,7 @@ def _cmd_simulate(args) -> list[dict]:
     gos = parse_gos(args.gos)
     seed = args.seed if args.seed is not None else int(os.environ.get("CM_SEED", "0"))
     report = mc_validate(marginal, gos, args.alpha, args.n, args.replicates, RngStream(seed))
-    return [{"command": "simulate", **dataclasses.asdict(report)}]
+    return [{"command": "simulate", **vars(report)}]
 
 
 def main(argv=None) -> int:

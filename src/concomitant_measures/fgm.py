@@ -90,7 +90,7 @@ def record_value(r: int) -> GosParams:
 
 # c_star multiplies this many factors per numpy call, which bounds its memory
 _C_STAR_BLOCK = 1 << 16
-# past this r, order statistics take the exact O(1) form instead of the product
+# past this r, order statistics and k-records take an O(1) form instead of the product
 _C_STAR_EXACT_R = 1 << 20
 # distinct GosParams whose C* is kept; one measure or table call needs one
 _C_STAR_CACHE = 256
@@ -104,17 +104,21 @@ def c_star(p: GosParams) -> float:
     rounds exactly as the plain loop does; the closed forms for order
     statistics and records differ from it in the last bits.  Every factor is
     at most 1, so once the product is <= 2^-55, 2 prod - 1 rounds to -1 for
-    good and the remaining factors are skipped.  Order statistics past
-    r = 2^20 take (n - 2r + 1)/(n + 1) instead, correctly rounded; other
-    (m, k) stay O(r).
+    good and the remaining factors are skipped.  Past r = 2^20, order
+    statistics take (n - 2r + 1)/(n + 1), correctly rounded, and k-records
+    (m = -1) take 2 (k/(k+1))^r - 1 (Kamps 1995); other (m, k) stay O(r).
 
     Memoised on ``p``: GosParams that compare equal, such as m=-0.0 and
     m=0.0, k=1 and k=1.0, or a float32 m and its float64 value, give the
     same gammas, hence the same product.
     """
-    if p.r > _C_STAR_EXACT_R and p.is_order_statistics():
-        # the product telescopes to (n - r + 1)/(n + 1); int / int rounds once
-        return (p.n - 2 * p.r + 1) / (p.n + 1)
+    if p.r > _C_STAR_EXACT_R:
+        if p.is_order_statistics():
+            # the product telescopes to (n - r + 1)/(n + 1); int / int rounds once
+            return (p.n - 2 * p.r + 1) / (p.n + 1)
+        if p.m == -1.0:
+            # k-records: every gamma_j is k, so the product is (k/(k+1))^r
+            return 2.0 * math.exp(p.r * math.log1p(-1.0 / (float(p.k) + 1.0))) - 1.0
     # n - j is formed exactly and then rounded once, as in the loop; an n
     # beyond int64 needs Python integers for that
     dtype = np.int64 if p.n < 2**63 else object

@@ -350,14 +350,13 @@ class InverseWeibull(MarginalFamily):
         return (0.0, math.inf)
 
     def _pdf(self, y):
-        yy = np.where(y > 0.0, y, 1.0)
-        val = (
-            self.beta
-            * self.theta**self.beta
-            * yy ** (-self.beta - 1.0)
-            * np.exp(-((self.theta / yy) ** self.beta))
-        )
-        return np.where(y > 0.0, val, 0.0)
+        # NaN off the support fails the tail test below, so one test gives 0
+        # there and where the tail underflows (yy^(-beta-1) may overflow
+        # there, and inf * 0 is NaN)
+        yy = np.where(y > 0.0, y, np.nan)
+        tail = np.exp(-((self.theta / yy) ** self.beta))
+        val = self.beta * self.theta**self.beta * yy ** (-self.beta - 1.0) * tail
+        return np.where(tail > 0.0, val, 0.0)
 
     def _cdf(self, y):
         yy = np.where(y > 0.0, y, 1.0)

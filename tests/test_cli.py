@@ -150,6 +150,39 @@ class TestMeasure:
         assert row["gos"] == "os:r=1000000000000,n=1000000000000"
         assert float(row["value"]) == pytest.approx(1.25, abs=1e-11)
 
+    def test_large_k_record_index_does_not_hang(self, capsys):
+        # past r = 2^20, C* of a k-record is 2 (k/(k+1))^r - 1
+        code, out, _ = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1",
+            "--gos", "r=1e12,n=1e12,m=-1,k=1e9", "--alpha", "0.5", "--measure", "inaccuracy",
+        )
+        assert code == 0
+        assert float(parse_csv(out)[0]["value"]) == pytest.approx(1.25, abs=1e-11)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_specs_formatted_once_per_call(self, capsys, monkeypatch, fmt):
+        calls = {"format_marginal": 0, "format_gos": 0}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(spec):
+                calls[name] += 1
+                return original(spec)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        code, out, _ = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3",
+            "--alpha", "0.5", "--measure", "all", "--format", fmt,
+        )
+        assert code == 0
+        records = json.loads(out) if fmt == "json" else parse_csv(out)
+        assert [rec["measure"] for rec in records] == list(cli.MEASURE_NAMES)
+        assert calls == {"format_marginal": 1, "format_gos": 1}
+
     def test_numerical_failure_exit_3(self, capsys):
         # the heavy tail at beta = 1.2 exhausts the quadrature budget
         code, out, err = run_cli(

@@ -122,6 +122,25 @@ class TestCStar:
         exact = float(Fraction(1, 2 * r + 1))  # (n - 2r + 1)/(n + 1) at n = 2r
         assert c_star(order_statistics(r, 2 * r)) == c_star_loop(r, 2 * r, 0.0, 1.0) != exact
 
+    @pytest.mark.parametrize("k", [1.5, 1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("r", [2**20 + 1, 2**21, 10**7, 10**9, 10**10, 10**12])
+    def test_k_records_past_the_product_match_mpmath(self, r, k):
+        # every gamma_j is k, so C* = 2 (k/(k+1))^r - 1 (Kamps 1995)
+        mp = pytest.importorskip("mpmath")
+        value = c_star(GosParams(r, r, -1.0, k))
+        assert type(value) is float
+        with mp.workdps(40):
+            kk = mp.mpf(k)
+            ref = 2 * (kk / (kk + 1)) ** r - 1
+            assert abs(value - ref) <= 2.0**-51, (r, k, value, ref)
+
+    @pytest.mark.parametrize("k", [1e6, 1e9])
+    def test_k_records_keep_the_product_up_to_r0(self, k):
+        # there the loop's value is off the power form from the 10th digit on
+        r = fgm._C_STAR_EXACT_R
+        power = 2.0 * math.exp(r * math.log1p(-1.0 / (k + 1.0))) - 1.0
+        assert c_star(GosParams(r, r, -1.0, k)) == c_star_loop(r, r, -1.0, k) != power
+
     def test_invalid_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             GosParams(1, 3, -2.0, 1.0)

@@ -133,6 +133,19 @@ class TestDistributionContracts:
         assert m.cdf(m.quantile(u)) == pytest.approx(u, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "m", ALL_FAMILIES + [InverseWeibull(1.0, 1.2), InverseWeibull(1.0, 3.0)], ids=repr
+)
+def test_kernels_defined_from_subnormal_to_huge_arguments(m):
+    # where a tail factor underflows, a power of y may overflow: no inf * 0
+    y = np.logspace(-320, 308, 2000)
+    with np.errstate(all="ignore"):
+        pdf, cdf, log_cdf = m.pdf(y), m.cdf(y), m.log_cdf(y)
+    assert np.all(np.isfinite(pdf)) and np.all(pdf >= 0.0)
+    assert np.all(np.isfinite(cdf))
+    assert not np.any(np.isnan(log_cdf))
+
+
 KERNELS = ("pdf", "cdf", "log_cdf", "quantile")
 
 
