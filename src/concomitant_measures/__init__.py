@@ -2,8 +2,8 @@
 
 Public surface, by module:
 
-- :mod:`~concomitant_measures.numerics`: adaptive Gauss-Kronrod quadrature,
-  digamma/trigamma, seedable uniform streams.
+- :mod:`~concomitant_measures.numerics`: the result record, adaptive
+  Gauss-Kronrod quadrature, digamma/trigamma, seedable uniform streams.
 - :mod:`~concomitant_measures.marginals`: the six marginal families with
   analytic entropy-type functionals.
 - :mod:`~concomitant_measures.fgm`: the Morgenstern joint model, generalized
@@ -61,7 +61,7 @@ from .marginals import (
     format_marginal,
     parse_marginal,
 )
-from .numerics import QuadratureError, QuadratureResult, RngStream, digamma, integrate, trigamma
+from .numerics import QuadratureError, RngStream, digamma, integrate, trigamma
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,7 @@ __all__ = [
     "empirical_cumulative_entropy", "empirical_cumulative_entropy_max2",
     "moments_mtbged", "moments_mtbud", "lyapunov_ratio", "mc_validate",
     "ValidationReport",
-    "QuadratureResult", "QuadratureError", "RngStream", "integrate",
+    "QuadratureError", "RngStream", "integrate",
     "digamma", "trigamma",
     "__version__",
 ]

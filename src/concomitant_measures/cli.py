@@ -46,14 +46,6 @@ __all__ = ["main", "TABLE1_REFERENCE", "TABLE2_REFERENCE"]
 
 MEASURE_NAMES = ("inaccuracy", "reversed_inaccuracy", "cpi", "reversed_cpi", "bounds")
 
-MEASURE_FIELDS = ["command", "marginal", "gos", "alpha", "measure", "value", "method", "abs_error_estimate"]
-TABLE_FIELDS = ["command", "table", "n", "theta2", "alpha", "r", "statistic", "computed", "reference"]
-SIMULATE_FIELDS = [
-    "command", "marginal", "gos", "alpha", "n", "replicates", "seed",
-    "empirical_mean", "empirical_variance", "theoretical_mean", "theoretical_variance",
-    "analytic_cpi", "bias", "ks_normality",
-]
-
 # Published 3-decimal reference values for the record-case (r=2) estimator
 # moments.  Keys: (n, theta2, alpha) -> (mean, variance) for table 1;
 # (n, alpha) -> (mean, variance) for table 2.  The last printed digit of a
@@ -126,14 +118,15 @@ def _fmt(name: str, value, paper_precision: bool):
     return value
 
 
-def _emit(records: list[dict], fields: list[str], fmt: str) -> None:
+def _emit(records: list[dict], fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(records, indent=2) + "\n")
         return
+    # every command's rows share one layout: its first row's keys
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(fields)
+    writer.writerow(records[0])
     for rec in records:
-        writer.writerow(["" if rec[k] is None else (f"{rec[k]:.15g}" if isinstance(rec[k], float) else rec[k]) for k in fields])
+        writer.writerow(["" if v is None else (f"{v:.15g}" if isinstance(v, float) else v) for v in rec.values()])
 
 
 def _cmd_measure(args) -> list[dict]:
@@ -188,18 +181,16 @@ def _cmd_simulate(args) -> list[dict]:
     return [{"command": "simulate", **vars(report)}]
 
 
+_COMMANDS = {"measure": _cmd_measure, "table": _cmd_table, "simulate": _cmd_simulate}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # overflow shows as an error or a non-finite result, not as warnings
         with np.errstate(all="ignore"):
-            if args.command == "measure":
-                records, fields = _cmd_measure(args), MEASURE_FIELDS
-            elif args.command == "table":
-                records, fields = _cmd_table(args), TABLE_FIELDS
-            else:
-                records, fields = _cmd_simulate(args), SIMULATE_FIELDS
-        records = [{k: _fmt(k, rec.get(k), args.paper_precision) for k in fields} for rec in records]
+            records = _COMMANDS[args.command](args)
+        records = [{k: _fmt(k, v, args.paper_precision) for k, v in rec.items()} for rec in records]
     except SpecFormatError as exc:
         print(f"cmeasure: spec error: {exc}", file=sys.stderr)
         return 2
@@ -215,7 +206,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"cmeasure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    _emit(records, fields, args.format)
+    _emit(records, args.format)
     return 0
 
 

@@ -14,10 +14,12 @@ exactly as alpha C* is positive or negative.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .fgm import FgmModel, GosParams, c_star
-from .inaccuracy import MeasureResult
+from .inaccuracy import MeasureResult, _raise_complement
 from .marginals import log_cdf_integral
 from .numerics import QuadratureError, integrate
 
@@ -41,8 +43,7 @@ def cpi_gos(model: FgmModel, p: GosParams, method: str = "closed_form") -> Measu
         value = (1.0 + c) * m.cumulative_entropy() - 0.5 * c * m.cumulative_entropy_max2()
         return MeasureResult(value, "closed_form")
     if method == "quadrature":
-        q = log_cdf_integral(m, lambda F, logF: -(F * (1.0 + c * (1.0 - F))) * logF, integrate)
-        return MeasureResult(q.value, "quadrature", q.abs_error_estimate)
+        return log_cdf_integral(m, lambda F, logF: -(F * (1.0 + c * (1.0 - F))) * logF, integrate)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -65,8 +66,8 @@ def reversed_cpi(model: FgmModel, p: GosParams) -> MeasureResult:
         # bound, although such bounds have missed by 37-98x (beta 1.5-1.7)
         q = exc.best
         if q is None or not q.abs_error_estimate <= 1e-7 * max(1.0, abs(q.value)):
-            raise
-    return MeasureResult(ce - q.value, "quadrature", q.abs_error_estimate)
+            _raise_complement(exc, ce, "reversed_cpi")
+    return replace(q, value=ce - q.value)
 
 
 def check_cpi_bounds(model: FgmModel, p: GosParams) -> str:

@@ -14,13 +14,14 @@ played against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import NoReturn
 
 import numpy as np
 
 from .fgm import FgmModel, GosParams, c_star, extremes_coefficient
 from .marginals import MarginalFamily, _safe_log
-from .numerics import integrate
+from .numerics import MeasureResult, QuadratureError, integrate
 
 __all__ = [
     "MeasureResult",
@@ -31,17 +32,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    """A computed measure with the route that produced it.
-
-    ``abs_error_estimate`` is zero for closed forms and the propagated
-    quadrature bound otherwise.
-    """
-
-    value: float
-    method: str  # "closed_form" | "quadrature" | "quantile_form"
-    abs_error_estimate: float = 0.0
+def _raise_complement(exc: QuadratureError, total: float, route: str) -> NoReturn:
+    """Re-raise ``exc`` for a route whose measure is ``total`` minus the
+    failed integral, with the measure's best estimate where there is one."""
+    if exc.best is None:
+        raise exc
+    best = replace(exc.best, value=total - exc.best.value)
+    msg = f"{exc}; {route} best estimate {best.value!r} +/- {best.abs_error_estimate:.3e}"
+    raise QuadratureError(msg, best=best) from exc
 
 
 def _decomposition(m: MarginalFamily, c: float) -> MeasureResult:
@@ -67,8 +65,7 @@ def inaccuracy_gos(model: FgmModel, p: GosParams, method: str = "closed_form") -
             return -(f * (1.0 + c * (1.0 - 2.0 * m.cdf(y)))) * _safe_log(f)
 
         # measures are defined on y > 0 regardless of where the support starts
-        q = integrate(integrand, 0.0, m.support()[1])
-        return MeasureResult(q.value, "quadrature", q.abs_error_estimate)
+        return integrate(integrand, 0.0, m.support()[1])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -81,8 +78,11 @@ def reversed_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
     """
     c = model.alpha * c_star(p)
     m = model.marginal_y
-    q = integrate(lambda u: np.log1p(c * (1.0 - 2.0 * u)), m.cdf(0.0), 1.0)
-    return MeasureResult(m.shannon_entropy() - q.value, "quadrature", q.abs_error_estimate)
+    try:
+        q = integrate(lambda u: np.log1p(c * (1.0 - 2.0 * u)), m.cdf(0.0), 1.0)
+    except QuadratureError as exc:
+        _raise_complement(exc, m.shannon_entropy(), "reversed_inaccuracy")
+    return replace(q, value=m.shannon_entropy() - q.value)
 
 
 def quantile_form_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
@@ -101,8 +101,7 @@ def quantile_form_inaccuracy(model: FgmModel, p: GosParams) -> MeasureResult:
         log_q = -_safe_log(m.pdf(m.quantile(uu)))
         return np.where(interior, log_q * (1.0 + c * (1.0 - 2.0 * uu)), 0.0)
 
-    q = integrate(integrand, m.cdf(0.0), 1.0)
-    return MeasureResult(q.value, "quantile_form", q.abs_error_estimate)
+    return replace(integrate(integrand, m.cdf(0.0), 1.0), method="quantile_form")
 
 
 def extremes_inaccuracy(marginal_y: MarginalFamily, alphas, which: str) -> MeasureResult:

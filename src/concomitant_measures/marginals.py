@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureResult, digamma, integrate, trigamma
+from .numerics import MeasureResult, digamma, integrate, trigamma
 
 __all__ = [
     "Exponential",
@@ -120,7 +120,7 @@ def _float_or_array(kernel, x):
     return float(out) if x.ndim == 0 else out
 
 
-def log_cdf_integral(m: MarginalFamily, term: Callable, quad: Callable = integrate) -> QuadratureResult:
+def log_cdf_integral(m: MarginalFamily, term: Callable, quad: Callable = integrate) -> MeasureResult:
     """``quad`` of term(F, log F) over y in (0, hi), the measure domain.
 
     F = exp(log F) comes from the family's tail-accurate ``log_cdf`` (log of
@@ -354,8 +354,11 @@ class InverseWeibull(MarginalFamily):
         # there and where the tail underflows (yy^(-beta-1) may overflow
         # there, and inf * 0 is NaN)
         yy = np.where(y > 0.0, y, np.nan)
-        tail = np.exp(-((self.theta / yy) ** self.beta))
+        z = (self.theta / yy) ** self.beta
+        tail = np.exp(-z)
         val = self.beta * self.theta**self.beta * yy ** (-self.beta - 1.0) * tail
+        if not np.isfinite(val).all():  # theta^beta underflows or yy^(-beta-1) overflows
+            val = np.where(np.isfinite(val), val, self.beta / yy * (z * tail))
         return np.where(tail > 0.0, val, 0.0)
 
     def _cdf(self, y):

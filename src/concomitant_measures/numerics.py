@@ -30,13 +30,13 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "QuadratureResult",
+    "MeasureResult",
     "QuadratureError",
     "integrate",
     "digamma",
@@ -92,12 +92,17 @@ _WG = np.array([
 
 
 @dataclass(frozen=True)
-class QuadratureResult:
-    """Value of a definite integral with an a-posteriori error bound."""
+class MeasureResult:
+    """A computed value, the route that produced it and its error bound.
+
+    ``abs_error_estimate`` and ``evaluations`` (the integrand evaluations
+    behind the value, left out of the repr) are zero for closed forms.
+    """
 
     value: float
-    abs_error_estimate: float
-    evaluations: int
+    method: str  # "closed_form" | "quadrature" | "quantile_form"
+    abs_error_estimate: float = 0.0
+    evaluations: int = field(default=0, repr=False)
 
 
 class QuadratureError(RuntimeError):
@@ -108,7 +113,7 @@ class QuadratureError(RuntimeError):
     choose to.
     """
 
-    def __init__(self, message: str, best: QuadratureResult | None = None):
+    def __init__(self, message: str, best: MeasureResult | None = None):
         super().__init__(message)
         self.best = best
 
@@ -159,7 +164,7 @@ def integrate(
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
     max_intervals: int = 2000,
-) -> QuadratureResult:
+) -> MeasureResult:
     """Adaptively integrate ``f`` over (lo, hi); ``hi`` may be ``math.inf``.
 
     Stops once the summed panel error drops below
@@ -204,7 +209,7 @@ def integrate(
 
     while total_err > max(abs_tol, rel_tol * abs(total_val)):
         if len(heap) >= max_intervals:
-            best = QuadratureResult(total_val, total_err, evals)
+            best = MeasureResult(total_val, "quadrature", total_err, evals)
             diverging = (
                 half_budget_val is not None
                 and abs(total_val) > 1.1 * max(abs(half_budget_val), abs_tol)
@@ -226,7 +231,7 @@ def integrate(
         if half_budget_val is None and len(heap) >= max_intervals // 2:
             half_budget_val = total_val
 
-    return QuadratureResult(total_val, total_err, evals)
+    return MeasureResult(total_val, "quadrature", total_err, evals)
 
 
 # --- psi (digamma / trigamma) ------------------------------------------------

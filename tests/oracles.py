@@ -33,8 +33,8 @@ from concomitant_measures.numerics import (
     _WG,
     _WGK,
     _XGK,
+    MeasureResult,
     QuadratureError,
-    QuadratureResult,
     digamma,
     trigamma,
 )
@@ -158,7 +158,7 @@ def integrate_per_panel(f, lo, hi, rel_tol=1e-10, abs_tol=1e-12, max_intervals=2
 
     while total_err > max(abs_tol, rel_tol * abs(total_val)):
         if len(heap) >= max_intervals:
-            best = QuadratureResult(total_val, total_err, evals)
+            best = MeasureResult(total_val, "quadrature", total_err, evals)
             diverging = (
                 half_budget_val is not None
                 and abs(total_val) > 1.1 * max(abs(half_budget_val), abs_tol)
@@ -181,7 +181,7 @@ def integrate_per_panel(f, lo, hi, rel_tol=1e-10, abs_tol=1e-12, max_intervals=2
         if half_budget_val is None and len(heap) >= max_intervals // 2:
             half_budget_val = total_val
 
-    return QuadratureResult(total_val, total_err, evals)
+    return MeasureResult(total_val, "quadrature", total_err, evals)
 
 
 class GeneratorStream:

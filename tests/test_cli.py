@@ -192,7 +192,8 @@ class TestMeasure:
         assert code == 3
         assert out == ""
         assert err.startswith("cmeasure: numerical failure: ")
-        assert "best estimate" in err
+        # the measure's estimate CE - Int F log(1 + c(1 - F)) dy, not the integral's
+        assert "reversed_cpi best estimate 3.5634665" in err
         assert "Traceback" not in err
 
     def test_echoed_spec_round_trips(self, capsys):
@@ -245,6 +246,21 @@ class TestMeasure:
         )
         assert (code, out) == (1, "")
         assert err == "cmeasure: arithmetic error: value is out of floating-point range\n"
+
+    def test_bounds_row_carries_no_evaluations(self, capsys, monkeypatch):
+        made = []
+
+        def recording(*args):
+            made.append(MeasureResult(*args))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "MeasureResult", recording)
+        code, out, _ = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3",
+            "--alpha", "0.5", "--measure", "bounds",
+        )
+        assert code == 0
+        assert [(r.value, r.method, r.evaluations) for r in made] == [("above_CE", "closed_form", 0)]
 
     def test_domain_error_exit_1(self, capsys):
         code, out, err = run_cli(

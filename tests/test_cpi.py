@@ -1,6 +1,7 @@
 """Cumulative past inaccuracy: decomposition, closed forms, bounds, differences."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,10 +169,11 @@ class TestReversedCpi:
     ])
     def test_zero_tilt_is_exactly_the_cumulative_entropy(self, m, alpha, p):
         # the integrand F log1p(0) vanishes identically, so the quadrature adds
-        # exactly zero to the closed-form CE and has no error
+        # exactly zero to the closed-form CE and has no error after its first
+        # 15-node panel
         assert c_star(order_statistics(2, 3)) == 0.0
         res = reversed_cpi(model(m, alpha), p)
-        expected = MeasureResult(m.cumulative_entropy(), "quadrature", 0.0)
+        expected = MeasureResult(m.cumulative_entropy(), "quadrature", 0.0, 15)
         assert res == expected
         assert repr(res) == repr(expected)
 
@@ -230,7 +232,9 @@ class TestHeavyTailStopgap:
         with pytest.raises(QuadratureError, match="tolerance not reached") as info:
             log_cdf_integral(m, lambda F, logF: F * np.log1p(c * (1.0 - F)), integrate)
         best = info.value.best
-        expected = MeasureResult(m.cumulative_entropy() - best.value, "quadrature", best.abs_error_estimate)
+        expected = MeasureResult(
+            m.cumulative_entropy() - best.value, "quadrature", best.abs_error_estimate, best.evaluations
+        )
         res = reversed_cpi(model(m, alpha), p)
         assert res == expected
         assert repr(res) == repr(expected)
@@ -238,8 +242,25 @@ class TestHeavyTailStopgap:
     def test_loose_best_estimate_raises(self):
         with pytest.raises(QuadratureError, match="tolerance not reached") as info:
             reversed_cpi(model(InverseWeibull(1.0, 1.2), 1.0), order_statistics(2, 5))
-        best = info.value.best
+        best = info.value.__cause__.best  # the integral's, which the stopgap tests
         assert best.abs_error_estimate > 1e-7 * max(1.0, abs(best.value))
+
+    def test_loose_best_estimate_is_restated_as_the_measure(self):
+        # the exhausted integral is R = Int F log(1 + c(1 - F)) dy; the error
+        # carries the measure's estimate CE - R with R's bound
+        m, alpha, p = InverseWeibull(1.0, 1.2), 0.5, order_statistics(1, 3)
+        c = alpha * c_star(p)
+        with pytest.raises(QuadratureError) as integral:
+            log_cdf_integral(m, lambda F, logF: F * np.log1p(c * (1.0 - F)), integrate)
+        with pytest.raises(QuadratureError) as info:
+            reversed_cpi(model(m, alpha), p)
+        r, best = integral.value.best, info.value.best
+        assert best == replace(r, value=m.cumulative_entropy() - r.value)
+        assert best.value == pytest.approx(3.5634665068125306, rel=1e-12)
+        assert str(info.value) == (
+            f"{integral.value}; reversed_cpi best estimate {best.value!r} +/- {best.abs_error_estimate:.3e}"
+        )
+        assert info.value.__cause__.best == r
 
 
 class TestBounds:

@@ -6,13 +6,15 @@ constants are frozen from analytic antiderivatives computed independently.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concomitant_measures import inaccuracy, numerics
+from concomitant_measures import cpi, inaccuracy, numerics
+from concomitant_measures.cpi import cpi_gos, reversed_cpi
 from concomitant_measures.fgm import (
     FgmModel,
     GosParams,
@@ -35,7 +37,7 @@ from concomitant_measures.marginals import (
     Rayleigh,
     Uniform,
 )
-from concomitant_measures.numerics import QuadratureError, QuadratureResult, digamma, integrate
+from concomitant_measures.numerics import QuadratureError, digamma, integrate
 from oracles import LOGISTIC_TILT_CONSTANT, closed_form_inaccuracy
 
 EULER = 0.5772156649015328606
@@ -167,10 +169,10 @@ class TestReversed:
     ])
     def test_zero_tilt_is_exactly_the_entropy(self, m, alpha, p):
         # the integrand log1p(0) vanishes identically, so the quadrature adds
-        # exactly zero and no error
+        # exactly zero and no error after its first 15-node panel
         assert c_star(order_statistics(2, 3)) == 0.0
         res = reversed_inaccuracy(model(m, alpha), p)
-        expected = MeasureResult(m.shannon_entropy(), "quadrature", 0.0)
+        expected = MeasureResult(m.shannon_entropy(), "quadrature", 0.0, 15)
         assert res == expected
         assert repr(res) == repr(expected)
 
@@ -229,12 +231,19 @@ class TestQuantileForm:
         res = quantile_form_inaccuracy(model(InverseWeibull(1.1, 2.0), -1.0), record_value(5))
         assert res.value == pytest.approx(0.7619982739342558, rel=1e-8)
 
+    def test_tiny_scale_heavy_tail_within_its_bound(self):
+        # theta^beta underflows in the pdf there; reference from a 30-digit
+        # tanh-sinh quadrature of E[log q(U) (1 + c (1 - 2U))], c = 1/4
+        res = quantile_form_inaccuracy(model(InverseWeibull(1e-300, 1.2), 0.5), order_statistics(1, 3))
+        assert abs(res.value - -689.0923131937782) <= res.abs_error_estimate
+
 
 @pytest.mark.parametrize("route", [reversed_inaccuracy, quantile_form_inaccuracy])
 def test_exhausted_budget_raises_even_with_a_tight_best_estimate(monkeypatch, route):
     # a best estimate within 1e-7 of scale certifies nothing; of the measure
-    # routes only reversed_cpi reports one (tests/test_cpi.py)
-    best = QuadratureResult(0.5, 1e-12, 59_985)
+    # routes only reversed_cpi reports one (tests/test_cpi.py).  The reversed
+    # route restates it as its measure, H - integral, with H = 1 here.
+    best = MeasureResult(0.5, "quadrature", 1e-12, 59_985)
 
     def exhausted(f, lo, hi):
         raise QuadratureError("tolerance not reached", best=best)
@@ -243,7 +252,40 @@ def test_exhausted_budget_raises_even_with_a_tight_best_estimate(monkeypatch, ro
     monkeypatch.setattr(inaccuracy, "integrate", exhausted)
     with pytest.raises(QuadratureError, match="tolerance not reached") as info:
         route(model(Exponential(1.0), 0.5), order_statistics(1, 3))
-    assert info.value.best is best
+    if route is reversed_inaccuracy:
+        assert info.value.best == replace(best, value=1.0 - 0.5)
+        assert str(info.value).endswith("; reversed_inaccuracy best estimate 0.5 +/- 1.000e-12")
+        assert info.value.__cause__.best is best
+    else:
+        assert info.value.best is best
+
+
+@pytest.mark.parametrize("module, route", [
+    (inaccuracy, lambda mdl, p: inaccuracy_gos(mdl, p, "quadrature")),
+    (inaccuracy, reversed_inaccuracy),
+    (inaccuracy, quantile_form_inaccuracy),
+    (cpi, lambda mdl, p: cpi_gos(mdl, p, "quadrature")),
+    (cpi, reversed_cpi),
+], ids=["inaccuracy", "reversed_inaccuracy", "quantile_form", "cpi", "reversed_cpi"])
+def test_quadrature_routes_carry_the_evaluations_of_their_integral(monkeypatch, module, route):
+    calls = []
+
+    def recording(*args):
+        calls.append(integrate(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(module, "integrate", recording)
+    res = route(model(InverseWeibull(1.1, 2.0), 0.5), order_statistics(1, 3))
+    assert len(calls) == 1
+    assert res.evaluations == calls[0].evaluations >= 15
+    assert res.abs_error_estimate == calls[0].abs_error_estimate
+
+
+def test_closed_forms_carry_no_evaluations():
+    mdl, p = model(Rayleigh(0.8), 0.5), order_statistics(1, 3)
+    assert inaccuracy_gos(mdl, p).evaluations == 0
+    assert cpi_gos(mdl, p).evaluations == 0
+    assert extremes_inaccuracy(Rayleigh(0.8), [0.4, 0.9], "max").evaluations == 0
 
 
 class TestExtremesMeasure:

@@ -134,7 +134,12 @@ class TestDistributionContracts:
 
 
 @pytest.mark.parametrize(
-    "m", ALL_FAMILIES + [InverseWeibull(1.0, 1.2), InverseWeibull(1.0, 3.0)], ids=repr
+    "m",
+    ALL_FAMILIES
+    + [InverseWeibull(1.0, 1.2), InverseWeibull(1.0, 3.0)]
+    # theta^beta underflows, or y^(-beta-1) overflows, where the density is finite
+    + [InverseWeibull(1e-300, 0.5), InverseWeibull(1e-300, 1.2), InverseWeibull(1e-200, 3.0)],
+    ids=repr,
 )
 def test_kernels_defined_from_subnormal_to_huge_arguments(m):
     # where a tail factor underflows, a power of y may overflow: no inf * 0

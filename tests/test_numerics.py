@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from concomitant_measures.marginals import InverseWeibull, log_cdf_integral
 from concomitant_measures.numerics import (
     _XGK,
+    MeasureResult,
     QuadratureError,
     RngStream,
     digamma,
@@ -32,6 +33,16 @@ class TestIntegrate:
         assert res.value == pytest.approx(0.5, abs=1e-13)
         assert res.abs_error_estimate >= 0.0
         assert res.evaluations >= 15
+
+    def test_results_are_measure_records(self):
+        res = integrate(lambda u: u, 0.0, 1.0)
+        assert res == MeasureResult(res.value, "quadrature", res.abs_error_estimate, 15)
+        # the count is not part of the printed record
+        assert repr(res) == repr(MeasureResult(res.value, "quadrature", res.abs_error_estimate))
+        with pytest.raises(QuadratureError) as info:
+            integrate(lambda u: 1.0 / u, 0.0, 1.0, max_intervals=4)
+        best = info.value.best
+        assert best == MeasureResult(best.value, "quadrature", best.abs_error_estimate, 15 + 3 * 30)
 
     def test_round_off_floor_is_a_python_float(self):
         # a constant makes the Gauss and Kronrod sums agree, so the floor wins
