@@ -31,7 +31,7 @@ def main() -> int:
 
     marginal = GeneralizedExponential(theta=1.0, lam=1.0)
     gos = record_value(args.r)
-    crit = ks_critical_value(args.replicates, level=0.01)
+    crit = ks_critical_value(args.replicates)
 
     print(f"KS(z-scores vs N(0,1)), {args.replicates} replicates, 1% critical {crit:.4f}")
     print(f"{'n':>6} {'emp mean':>10} {'theo mean':>10} {'emp var':>10} {'theo var':>10} "

@@ -45,7 +45,6 @@ from .fgm import (
     sample_joint,
 )
 from .inaccuracy import (
-    MeasureResult,
     extremes_inaccuracy,
     inaccuracy_gos,
     quantile_form_inaccuracy,
@@ -61,7 +60,7 @@ from .marginals import (
     format_marginal,
     parse_marginal,
 )
-from .numerics import QuadratureError, RngStream, digamma, integrate, trigamma
+from .numerics import MeasureResult, QuadratureError, RngStream, digamma, integrate, trigamma
 
 __version__ = "0.1.0"
 

@@ -38,9 +38,9 @@ import numpy as np
 from .cpi import check_cpi_bounds, cpi_gos, reversed_cpi
 from .empirical import mc_validate, moments_mtbged, moments_mtbud
 from .fgm import FgmModel, format_gos, parse_gos
-from .inaccuracy import MeasureResult, inaccuracy_gos, reversed_inaccuracy
+from .inaccuracy import inaccuracy_gos, reversed_inaccuracy
 from .marginals import SpecFormatError, format_marginal, parse_marginal
-from .numerics import QuadratureError, RngStream
+from .numerics import MeasureResult, QuadratureError, RngStream
 
 __all__ = ["main", "TABLE1_REFERENCE", "TABLE2_REFERENCE"]
 
@@ -89,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--marginal", required=True, help="e.g. exponential:theta=1")
     m.add_argument("--gos", required=True, help="e.g. os:r=1,n=3 or record:r=2 or r=2,n=5,m=1,k=2")
     m.add_argument("--alpha", type=float, required=True)
-    m.add_argument("--measure", action="append", choices=MEASURE_NAMES + ("all",),
-                   help="repeatable; default all")
+    m.add_argument("--measure", action="append", choices=MEASURE_NAMES,
+                   help="repeatable; default every measure")
     add_common(m)
 
     t = sub.add_parser("table", help="reproduce a reference moment table")
@@ -142,12 +142,9 @@ def _cmd_measure(args) -> list[dict]:
         "reversed_cpi": reversed_cpi,
         "bounds": lambda mdl, p: MeasureResult(check_cpi_bounds(mdl, p), "closed_form"),
     }
-    requested = args.measure or ["all"]
-    if "all" in requested:
-        requested = MEASURE_NAMES
     head = {"command": "measure", "marginal": format_marginal(marginal), "gos": format_gos(gos), "alpha": args.alpha}
     records = []
-    for name in requested:
+    for name in args.measure or MEASURE_NAMES:
         result = routes[name](model, gos)
         records.append({**head, "measure": name, "value": result.value, "method": result.method,
                         "abs_error_estimate": result.abs_error_estimate})

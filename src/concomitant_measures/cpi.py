@@ -19,9 +19,9 @@ from dataclasses import replace
 import numpy as np
 
 from .fgm import FgmModel, GosParams, c_star
-from .inaccuracy import MeasureResult, _raise_complement
+from .inaccuracy import _raise_complement
 from .marginals import log_cdf_integral
-from .numerics import QuadratureError, integrate
+from .numerics import MeasureResult, QuadratureError, integrate
 
 __all__ = [
     "cpi_gos",

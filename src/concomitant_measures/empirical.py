@@ -177,9 +177,8 @@ def lyapunov_ratio(n: int, theta2: float, alpha: float, r: int) -> float:
 
 
 def standard_normal_cdf(z):
-    z = np.asarray(z, dtype=float)
-    out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in np.atleast_1d(z)])
-    return float(out[0]) if z.ndim == 0 else out
+    """Phi at each entry of the 1-d array ``z``, as an array."""
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in np.asarray(z, dtype=float)])
 
 
 def ks_statistic(values, cdf) -> float:
@@ -191,9 +190,9 @@ def ks_statistic(values, cdf) -> float:
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
 
-def ks_critical_value(n: int, level: float = 0.01) -> float:
-    """Asymptotic KS critical value: sqrt(-log(level/2) / 2) / sqrt(n)."""
-    return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
+def ks_critical_value(n: int) -> float:
+    """Asymptotic KS critical value at the 1% level: sqrt(-log(0.01/2) / 2) / sqrt(n)."""
+    return math.sqrt(-0.5 * math.log(0.01 / 2.0)) / math.sqrt(n)
 
 
 # --- Monte Carlo validation harness ---------------------------------------------

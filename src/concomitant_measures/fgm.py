@@ -183,29 +183,23 @@ def _invert_tilted_uniform(a, u):
     return 2.0 * u / ((1.0 + a) + np.sqrt(np.maximum(disc, 0.0)))
 
 
-def sample_joint(model: FgmModel, stream: RngStream, size: int | None = None):
-    """Draw (x, y) from the joint law by conditional inversion.
+def sample_joint(model: FgmModel, stream: RngStream, size: int):
+    """Draw ``size`` pairs (x, y) from the joint law by conditional inversion.
 
     X is drawn marginally; given F_X(x), the conditional cdf of V = F_Y(Y) is
     v [1 + a (1 - v)] with a = alpha (1 - 2 F_X(x)), inverted in closed form.
-    Returns a pair of floats for ``size=None``, else a pair of arrays.
+    Returns a pair of arrays.
     """
-    n = 1 if size is None else int(size)
-    u1 = stream.uniforms(n)
-    u2 = stream.uniforms(n)
+    u1 = stream.uniforms(size)
+    u2 = stream.uniforms(size)
     a = model.alpha * (1.0 - 2.0 * u1)
     v = _invert_tilted_uniform(a, u2)
-    x = model.marginal_x.quantile(u1)
-    y = model.marginal_y.quantile(v)
-    if size is None:
-        return float(x[0]), float(y[0])
-    return x, y
+    return model.marginal_x.quantile(u1), model.marginal_y.quantile(v)
 
 
-def sample_concomitant(
-    model: FgmModel, p: GosParams, stream: RngStream, size: int | None = None
-):
-    """Draw from the concomitant law of the r-th GOS by direct cdf inversion.
+def sample_concomitant(model: FgmModel, p: GosParams, stream: RngStream, size: int):
+    """Draw ``size`` values from the concomitant law of the r-th GOS by direct
+    cdf inversion, as an array.
 
     Supported for ordinary order statistics (m=0, k=1) and upper records
     (m=-1, k=1); other (m, k) raise.  The analytic pdf/cdf cover general
@@ -215,13 +209,8 @@ def sample_concomitant(
         raise ValueError(
             f"sampling supports order statistics (m=0, k=1) and records (m=-1, k=1); got {p!r}"
         )
-    n = 1 if size is None else int(size)
-    u = stream.uniforms(n)
-    v = _invert_tilted_uniform(model.alpha * c_star(p), u)
-    y = model.marginal_y.quantile(v)
-    if size is None:
-        return float(y[0])
-    return y
+    u = stream.uniforms(size)
+    return model.marginal_y.quantile(_invert_tilted_uniform(model.alpha * c_star(p), u))
 
 
 def extremes_coefficient(alphas, which: str) -> float:

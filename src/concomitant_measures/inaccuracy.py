@@ -24,7 +24,6 @@ from .marginals import MarginalFamily, _safe_log
 from .numerics import MeasureResult, QuadratureError, integrate
 
 __all__ = [
-    "MeasureResult",
     "inaccuracy_gos",
     "reversed_inaccuracy",
     "quantile_form_inaccuracy",

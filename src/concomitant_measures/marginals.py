@@ -421,8 +421,8 @@ def parse_fields(text: str, spec: str, start: int, allowed: set[str]) -> dict[st
 
     ``text`` is the part of ``spec`` that begins at index ``start``; errors
     name the offending token and its position in ``spec``.  Names are
-    case-insensitive ("lambda" is read as "lam") and must be in ``allowed``.
-    Blank text has no fields.
+    case-insensitive ("lambda" is read as "lam"), must be in ``allowed`` and
+    may appear once each.  Blank text has no fields.
     """
     out: dict[str, float] = {}
     if not text.strip():
@@ -439,6 +439,8 @@ def parse_fields(text: str, spec: str, start: int, allowed: set[str]) -> dict[st
             raise SpecFormatError(
                 f"unknown parameter {name!r} {where}; allowed: {', '.join(sorted(allowed)) or 'none'}"
             )
+        if key in out:
+            raise SpecFormatError(f"repeated parameter {key!r} {where}")
         try:
             number = float(value)
         except ValueError:

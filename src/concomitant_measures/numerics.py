@@ -6,23 +6,19 @@ with logarithmic (or mildly algebraic) endpoint singularities can be handed
 over directly; endpoints are never evaluated.  A semi-infinite upper limit is
 mapped to (0, 1) by the substitution y = lo + t/(1-t).
 
-Panels are refined one at a time in QUADPACK's order (largest error first),
-and each bisection evaluates both halves in a single integrand call of 30
-nodes, one row of 15 per half.  Each half's Kronrod sums are formed exactly
-as with one call per panel, so values, error estimates, evaluation counts and
-error messages are the same bit for bit; only the number of integrand calls,
-and with it the numpy overhead per call, is about halved.  A non-finite
-value at any node raises :class:`QuadratureError` naming that node in y, the
-left half's nodes before the right half's.
+Panels are refined one at a time in QUADPACK's order (largest error first);
+each bisection evaluates both halves in a single integrand call of 30 nodes,
+one row of 15 per half.  A non-finite value at any node raises
+:class:`QuadratureError` naming that node in y, the left half's nodes before
+the right half's.
 
-``integrate`` either meets its tolerance or raises; an exhausted budget
-raises with the best estimate attached.  The one caller that accepts such an
-estimate is ``cpi.reversed_cpi``, a stopgap for heavy InverseWeibull tails.
+``integrate`` either meets its fixed tolerance, ``max(1e-12, 1e-10 *
+|integral|)``, within 2000 panels or raises; an exhausted budget raises with
+the best estimate attached.  The one caller that accepts such an estimate is
+``cpi.reversed_cpi``, a stopgap for heavy InverseWeibull tails.
 
-Integrands must accept a 1-d numpy array of abscissae and return an array of
-the same shape (plain ``math``-style scalar functions can be wrapped with
-``numpy.vectorize`` by the caller, but every integrand in this package is
-array-native).
+Integrands must be array-native: they take a 1-d numpy array of abscissae
+and return an array of the same shape.
 """
 
 from __future__ import annotations
@@ -106,7 +102,7 @@ class MeasureResult:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the adaptive scheme cannot certify the requested tolerance.
+    """Raised when the adaptive scheme cannot certify its tolerance.
 
     ``best`` carries the estimate accumulated before giving up, so callers can
     distinguish "slow" from "divergent" and still report a number if they
@@ -120,6 +116,9 @@ class QuadratureError(RuntimeError):
 
 # QUADPACK's round-off floor on a panel's error.
 _ROUNDOFF = 50.0 * float(np.finfo(float).eps)
+
+# integrate's tolerance, max(_ABS_TOL, _REL_TOL * |integral|), and its panel budget
+_REL_TOL, _ABS_TOL, _MAX_INTERVALS = 1e-10, 1e-12, 2000
 
 
 def _kronrod(fx: np.ndarray, half: float) -> tuple[float, float]:
@@ -157,23 +156,14 @@ def _panels(evaluate: Callable, bounds: list[tuple[float, float]]) -> list[tuple
     return [_kronrod(row, h) for row, h in zip(fx, half)]
 
 
-def integrate(
-    f: Callable,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    max_intervals: int = 2000,
-) -> MeasureResult:
+def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
     """Adaptively integrate ``f`` over (lo, hi); ``hi`` may be ``math.inf``.
 
     Stops once the summed panel error drops below
-    ``max(abs_tol, rel_tol * |integral|)``.  Raises :class:`QuadratureError`
-    when the interval budget is exhausted (a growing estimate is flagged as
+    ``max(_ABS_TOL, _REL_TOL * |integral|)``.  Raises :class:`QuadratureError`
+    when the panel budget is exhausted (a growing estimate is flagged as
     apparent divergence) or when the integrand produces NaN/inf at a node.
     """
-    if not (rel_tol > 0.0 and abs_tol > 0.0):
-        raise ValueError("tolerances must be positive")
     if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
     if not lo < hi:
@@ -207,12 +197,12 @@ def integrate(
     total_val, total_err = val, err
     half_budget_val: float | None = None
 
-    while total_err > max(abs_tol, rel_tol * abs(total_val)):
-        if len(heap) >= max_intervals:
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
+        if len(heap) >= _MAX_INTERVALS:
             best = MeasureResult(total_val, "quadrature", total_err, evals)
             diverging = (
                 half_budget_val is not None
-                and abs(total_val) > 1.1 * max(abs(half_budget_val), abs_tol)
+                and abs(total_val) > 1.1 * max(abs(half_budget_val), _ABS_TOL)
             )
             reason = "integral appears divergent" if diverging else "tolerance not reached"
             raise QuadratureError(
@@ -228,7 +218,7 @@ def integrate(
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, a, m, v1, e1))
         heapq.heappush(heap, (-e2, m, b, v2, e2))
-        if half_budget_val is None and len(heap) >= max_intervals // 2:
+        if half_budget_val is None and len(heap) >= _MAX_INTERVALS // 2:
             half_budget_val = total_val
 
     return MeasureResult(total_val, "quadrature", total_err, evals)

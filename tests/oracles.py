@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from concomitant_measures import numerics
 from concomitant_measures.fgm import c_star
 from concomitant_measures.marginals import (
     Exponential,
@@ -129,9 +130,17 @@ def _kronrod_panel(f, lo, hi):
     return resk * half, err
 
 
-def integrate_per_panel(f, lo, hi, rel_tol=1e-10, abs_tol=1e-12, max_intervals=2000):
+def integrate_per_panel(f, lo, hi, rel_tol=None, abs_tol=None, max_intervals=None):
     """``numerics.integrate`` as it was with one 15-node integrand call per
-    panel and the non-finite checks inside the semi-infinite map."""
+    panel and the non-finite checks inside the semi-infinite map.
+
+    An argument left out takes the value of the matching ``numerics``
+    constant at the time of the call, so at the defaults the result equals
+    ``integrate``'s bit for bit.
+    """
+    rel_tol = numerics._REL_TOL if rel_tol is None else rel_tol
+    abs_tol = numerics._ABS_TOL if abs_tol is None else abs_tol
+    max_intervals = numerics._MAX_INTERVALS if max_intervals is None else max_intervals
     if math.isinf(hi):
         inner = f
 

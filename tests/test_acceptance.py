@@ -281,7 +281,7 @@ def test_criterion_6_estimator_consistency():
 def test_criterion_7_clt_and_lyapunov():
     start = time.perf_counter()
     n, replicates = 200, 1_000
-    crit = ks_critical_value(replicates, level=0.01)
+    crit = ks_critical_value(replicates)
     passes = 0
     for seed in range(10):
         report = mc_validate(
@@ -316,7 +316,7 @@ def test_criterion_8_joint_sampler():
         assert rho_target == pytest.approx(alpha / 3.0, abs=1e-12)
 
     N = 100_000
-    crit = ks_critical_value(N, level=0.01)
+    crit = ks_critical_value(N)
     marginal = Uniform(1.0)
     for alpha in (-1.0, 0.5, 1.0):
         stream = RngStream(42, 1)

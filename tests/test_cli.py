@@ -14,7 +14,7 @@ import pytest
 
 from concomitant_measures import cli
 from concomitant_measures.cli import TABLE1_REFERENCE, TABLE2_REFERENCE, main
-from concomitant_measures.inaccuracy import MeasureResult
+from concomitant_measures.numerics import MeasureResult
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -105,6 +105,27 @@ class TestMeasure:
         assert out == ""
         assert "unknown parameter 'thet'" in err
 
+    @pytest.mark.parametrize("marginal, gos, repeated", [
+        ("exponential:theta=1,theta=2", "os:r=1,n=3", "'theta' at position 20 in 'exponential:theta=1,theta=2'"),
+        ("genexp:lam=1,lambda=2", "os:r=1,n=3", "'lam' at position 13 in 'genexp:lam=1,lambda=2'"),
+        ("exponential:theta=1", "os:r=1,n=3,r=2", "'r' at position 11 in 'os:r=1,n=3,r=2'"),
+    ])
+    def test_repeated_spec_parameter_exit_2(self, capsys, marginal, gos, repeated):
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", marginal, "--gos", gos, "--alpha", "0.5",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"cmeasure: spec error: repeated parameter {repeated}\n"
+
+    def test_all_is_not_a_measure_name(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3",
+                  "--alpha", "0.5", "--measure", "all"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'all'" in captured.err
+
     @pytest.mark.parametrize("marginal, gos", [
         ("exponential:theta=inf", "os:r=1,n=3"),
         ("exponential:theta=nan", "os:r=1,n=3"),
@@ -176,7 +197,7 @@ class TestMeasure:
             monkeypatch.setattr(cli, name, counting(name))
         code, out, _ = run_cli(
             capsys, "measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3",
-            "--alpha", "0.5", "--measure", "all", "--format", fmt,
+            "--alpha", "0.5", "--format", fmt,
         )
         assert code == 0
         records = json.loads(out) if fmt == "json" else parse_csv(out)

@@ -19,7 +19,6 @@ from concomitant_measures.fgm import (
     parse_gos,
     record_value,
 )
-from concomitant_measures.inaccuracy import MeasureResult
 from concomitant_measures.marginals import (
     Exponential,
     GeneralizedExponential,
@@ -29,7 +28,7 @@ from concomitant_measures.marginals import (
     Uniform,
     log_cdf_integral,
 )
-from concomitant_measures.numerics import QuadratureError, integrate
+from concomitant_measures.numerics import MeasureResult, QuadratureError, integrate
 from oracles import closed_form_cpi
 from test_golden import ALPHAS as GOLDEN_ALPHAS
 from test_golden import GOS as GOLDEN_GOS

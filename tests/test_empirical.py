@@ -216,8 +216,10 @@ class TestCltDiagnostics:
         assert abs(ratio - target) / target < 0.20
 
     def test_normal_cdf(self):
-        assert standard_normal_cdf(0.0) == pytest.approx(0.5)
-        assert standard_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
+        phi = standard_normal_cdf(np.array([0.0, 1.959964]))
+        assert phi.shape == (2,)
+        assert phi[0] == pytest.approx(0.5)
+        assert phi[1] == pytest.approx(0.975, abs=1e-6)
 
     def test_ks_statistic_exact_fit(self):
         u = np.linspace(0.005, 0.995, 100)

@@ -28,7 +28,7 @@ from concomitant_measures.fgm import (
 )
 from concomitant_measures.marginals import Exponential, SpecFormatError, Uniform
 from concomitant_measures.numerics import RngStream, integrate
-from oracles import GeneratorStream, c_star_loop, spearman_rho
+from oracles import GeneratorStream, c_star_loop, integrate_per_panel, spearman_rho
 
 
 class TestCStar:
@@ -188,11 +188,11 @@ class TestFgmModel:
 
         def outer(xs):
             return np.array([
-                integrate(lambda y: model.joint_pdf(x, y), 0.0, math.inf, rel_tol=1e-9).value
+                integrate_per_panel(lambda y: model.joint_pdf(x, y), 0.0, math.inf, rel_tol=1e-9).value
                 for x in np.atleast_1d(xs)
             ])
 
-        total = integrate(outer, 0.0, math.inf, rel_tol=1e-7, abs_tol=1e-9)
+        total = integrate_per_panel(outer, 0.0, math.inf, rel_tol=1e-7, abs_tol=1e-9)
         assert total.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -301,10 +301,15 @@ class TestSamplers:
         assert ks_statistic(x, Exponential(2.0).cdf) < crit
         assert ks_statistic(y, Uniform(1.0).cdf) < crit
 
-    def test_scalar_draw(self):
+    def test_size_is_required(self):
         model = FgmModel(Uniform(1.0), Uniform(1.0), 0.5)
-        x, y = sample_joint(model, RngStream(0))
-        assert 0.0 < x < 1.0 and 0.0 < y < 1.0
+        with pytest.raises(TypeError, match="size"):
+            sample_joint(model, RngStream(0))
+        with pytest.raises(TypeError, match="size"):
+            sample_concomitant(model, order_statistics(1, 3), RngStream(0))
+        x, y = sample_joint(model, RngStream(0), 1)
+        assert x.shape == y.shape == (1,)
+        assert 0.0 < x[0] < 1.0 and 0.0 < y[0] < 1.0
 
     def test_concomitant_alpha_zero_ks(self):
         m = Exponential(1.0)
@@ -335,18 +340,18 @@ class TestSamplers:
         m = Uniform(1.0)
         model = FgmModel(m, m, 0.5)
         with pytest.raises(ValueError, match="order statistics.*records"):
-            sample_concomitant(model, GosParams(2, 5, 1.0, 2.0), RngStream(0))
+            sample_concomitant(model, GosParams(2, 5, 1.0, 2.0), RngStream(0), 1)
 
-    @pytest.mark.parametrize("seed, size", [(5, None), (42, 1), (2**33, 1000)])
+    @pytest.mark.parametrize("seed, size", [(42, 1), (2**33, 1000)])
     def test_draws_match_generator_stream(self, seed, size):
         model = FgmModel(Exponential(2.0), Uniform(1.0), 0.9)
         for a, b in zip(sample_joint(model, RngStream(seed, 1), size),
                         sample_joint(model, GeneratorStream(seed, 1), size)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            assert a.tobytes() == b.tobytes()
         for p in (order_statistics(2, 6), record_value(3)):
             a = sample_concomitant(model, p, RngStream(seed), size)
             b = sample_concomitant(model, p, GeneratorStream(seed), size)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            assert a.tobytes() == b.tobytes()
 
 
 class TestExtremes:
@@ -435,3 +440,15 @@ class TestGosSpecStrings:
             parse_gos("r=1.5,n=3")
         with pytest.raises(SpecFormatError, match="must be an integer, got 1.0000001 "):
             parse_gos("r=1.0000001,n=3")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("os:r=1,n=3,r=2", "repeated parameter 'r' at position 11 in "),
+        ("os:r=1,n=3,r=1", "repeated parameter 'r' at position 11 in "),
+        ("record:r=2,r=3", "repeated parameter 'r' at position 11 in "),
+        ("r=2,n=5,m=1,k=2,k=3", "repeated parameter 'k' at position 16 in "),
+        ("n=5,r=2,N=6", "repeated parameter 'n' at position 8 in "),
+    ])
+    def test_repeated_parameter_is_an_error(self, spec, message):
+        with pytest.raises(SpecFormatError) as info:
+            parse_gos(spec)
+        assert str(info.value) == f"{message}{spec!r}"

@@ -23,7 +23,6 @@ from concomitant_measures.fgm import (
     record_value,
 )
 from concomitant_measures.inaccuracy import (
-    MeasureResult,
     extremes_inaccuracy,
     inaccuracy_gos,
     quantile_form_inaccuracy,
@@ -37,7 +36,7 @@ from concomitant_measures.marginals import (
     Rayleigh,
     Uniform,
 )
-from concomitant_measures.numerics import QuadratureError, digamma, integrate
+from concomitant_measures.numerics import MeasureResult, QuadratureError, digamma, integrate
 from oracles import LOGISTIC_TILT_CONSTANT, closed_form_inaccuracy
 
 EULER = 0.5772156649015328606

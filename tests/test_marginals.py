@@ -27,6 +27,7 @@ from concomitant_measures.marginals import (
     parse_marginal,
 )
 from concomitant_measures.numerics import integrate
+from oracles import integrate_per_panel
 
 EULER = 0.5772156649015328606
 
@@ -63,7 +64,7 @@ def quad_ce(m, power=1):
 
     # rel 1e-9 oracle: heavy algebraic cdf tails (inverse Weibull at low beta)
     # sit near the resolution floor of the semi-infinite map at rel 1e-10
-    return integrate(integrand, 0.0, hi, rel_tol=1e-9).value
+    return integrate_per_panel(integrand, 0.0, hi, rel_tol=1e-9).value
 
 
 class TestPointValues:
@@ -372,3 +373,14 @@ class TestSpecStrings:
             parse_marginal("exponential:theta=abc")
         with pytest.raises(SpecFormatError, match="malformed parameter token"):
             parse_marginal("exponential:theta")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("exponential:theta=1,theta=2", "repeated parameter 'theta' at position 20 in "),
+        ("exponential:theta=1,THETA=1", "repeated parameter 'theta' at position 20 in "),
+        ("genexp:lam=1,lambda=2", "repeated parameter 'lam' at position 13 in "),
+        ("invweibull:theta=1,beta=2,theta=1", "repeated parameter 'theta' at position 26 in "),
+    ])
+    def test_repeated_parameter_is_an_error(self, spec, message):
+        with pytest.raises(SpecFormatError) as info:
+            parse_marginal(spec)
+        assert str(info.value) == f"{message}{spec!r}"
