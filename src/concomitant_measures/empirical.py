@@ -19,7 +19,10 @@ Monte Carlo gates should use the exponential model).
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +202,42 @@ def ks_critical_value(n: int) -> float:
 
 # sample values per block of replicates in mc_validate (256 KiB of float64)
 _MC_BLOCK = 1 << 15
+# sample size from which mc_validate spreads its replicates over one thread
+# per CPU; below it the per-row seeding of block_uniforms, which holds the
+# GIL, outweighs the numpy work that releases it (README, crossover table)
+_POOL_MIN_N = 4096
+
+
+def _worker_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The thread pool of mc_validate, made at its first pooled call."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_worker_count(), thread_name_prefix="mc_validate")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's pool threads: it makes its own
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _fill_replicates(marginal, w, stream, vals, start, stop) -> None:
+    """vals[start:stop] = the estimator with weights ``w`` on the samples of
+    replicates start..stop-1, in blocks of about _MC_BLOCK sample values."""
+    n = len(w) + 1
+    rows = max(1, _MC_BLOCK // n)
+    u = np.empty((min(rows, stop - start), n))
+    for first in range(start, stop, rows):
+        block = u[: min(rows, stop - first)]
+        stream.block_uniforms(first, block)
+        vals[first : first + len(block)] = _spacing_sum(marginal.quantile(block), lambda _: w)
 
 
 @dataclass(frozen=True)
@@ -241,6 +280,13 @@ def mc_validate(
     runs on a single sample, serve the whole block.  Memory stays bounded for
     any ``replicates``, and every replicate value is the one a separate
     ``empirical_cpi`` of its own substream's sample gives, bit for bit.
+
+    From n = 4096 on, the replicates are split into one contiguous chunk per
+    CPU in the process's affinity mask, each run on a thread of a pool made
+    once per process, with its own block buffer and the caller's context
+    (``np.errstate`` included).  The report is the same for any number of
+    CPUs; an exception raised in a chunk is raised here once every chunk
+    has ended.
     """
     if replicates < 100:
         raise ValueError(f"need replicates >= 100, got {replicates}")
@@ -248,12 +294,18 @@ def mc_validate(
     # empirical_cpi of each replicate, with its weights computed once
     w = _estimator_weights(n, alpha * c_star(p))
     vals = np.empty(replicates)
-    rows = max(1, _MC_BLOCK // n)
-    u = np.empty((min(rows, replicates), n))
-    for start in range(0, replicates, rows):
-        block = u[: min(rows, replicates - start)]
-        stream.block_uniforms(start, block)
-        vals[start : start + len(block)] = _spacing_sum(marginal.quantile(block), lambda _: w)
+    workers = _worker_count() if n >= _POOL_MIN_N else 1
+    if workers == 1:
+        _fill_replicates(marginal, w, stream, vals, 0, replicates)
+    else:
+        bounds = [replicates * k // workers for k in range(workers + 1)]
+        chunks = [
+            _pool().submit(contextvars.copy_context().run, _fill_replicates, marginal, w, stream, vals, a, b)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        for error in [chunk.exception() for chunk in chunks]:
+            if error is not None:
+                raise error
     emp_mean = float(vals.mean())
     emp_var = float(vals.var(ddof=1))
     mo = theoretical_moments(marginal, p, alpha, n)

@@ -325,10 +325,11 @@ class RngStream:
     """A deterministic uniform(0,1) stream identified by (seed, stream_id).
 
     Streams with different ``stream_id`` under the same seed are statistically
-    independent (PCG64 seeded through a spawn key).  A stream is owned by a
-    single consumer; parallel work should partition by stream_id or use
-    :meth:`substream` (or :meth:`block_uniforms` for many substreams at
-    once), never share one instance.
+    independent (PCG64 seeded through a spawn key).  The sequential draws
+    (:meth:`uniform01`, :meth:`uniforms`) advance the stream, so they belong
+    to a single consumer; parallel work should partition by stream_id or use
+    :meth:`substream`.  :meth:`block_uniforms` leaves the stream unchanged,
+    and any number of threads may call it on one instance at once.
 
     Each value is (k + 1/2) 2^-53, with k the top 53 bits of one 64-bit PCG64
     output.  These are the values ``Generator.integers(0, 2**53)`` would give:
@@ -356,13 +357,13 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, _key=self._key + (int(index),))
 
     @functools.cached_property
-    def _block_seeding(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.random.PCG64]:
-        # MIX_MULT_L times this stream's SeedSequence pool, the hash constants
-        # of a child's index word (4 hash steps per entropy word before it, the
-        # run entropy padded to 4 words), and one PCG64 to reseed row by row.
+    def _block_seeding(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        # MIX_MULT_L times this stream's SeedSequence pool, and the hash
+        # constants of a child's index word (4 hash steps per entropy word
+        # before it, the run entropy padded to 4 words).
         words = max(4, _entropy_words(self.seed)) + sum(_entropy_words(k) for k in self._key)
         index_hash = _hash_constants(_INIT_A, _MULT_A, 4 * words, 4)
-        return self._bits.seed_seq.pool * np.uint32(_MIX_MULT_L), index_hash, np.random.PCG64(0)
+        return self._bits.seed_seq.pool * np.uint32(_MIX_MULT_L), index_hash
 
     def block_uniforms(self, start: int, out: np.ndarray) -> None:
         """Fill row j of the 2-d float64 array ``out`` with
@@ -373,14 +374,16 @@ class RngStream:
         pool in turn.  So the pool this stream was seeded from is the common
         prefix: only the index word and ``generate_state(4, uint64)`` are
         hashed here, as uint32 arrays over the block.  Each row then sets the
-        PCG64 state those words seed on one reused bit generator.  Indices of
-        2^32 and above take two entropy words and go through :meth:`substream`.
+        PCG64 state those words seed on one bit generator of this call's own,
+        so concurrent calls share nothing they write.  Indices of 2^32 and
+        above take two entropy words and go through :meth:`substream`.
         """
         rows, n = out.shape
         raw = np.empty((rows, n), dtype=np.uint64)
         fast = max(0, min(rows, 2**32 - start))
         if fast:
-            mixed_pool, index_hash, bits = self._block_seeding
+            mixed_pool, index_hash = self._block_seeding
+            bits = np.random.PCG64(0)
             # SeedSequence.mix_entropy: pool[d] = mix(pool[d], hashmix(index))
             v = _hash(np.arange(start, start + fast, dtype=np.uint32)[:, None], *index_hash)
             v = mixed_pool - v * np.uint32(_MIX_MULT_R)

@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from concomitant_measures import cli
+from concomitant_measures import cli, empirical
 from concomitant_measures.cli import TABLE1_REFERENCE, TABLE2_REFERENCE, main
 from concomitant_measures.numerics import MeasureResult
 
@@ -457,6 +458,21 @@ class TestOutOfRange:
                              capture_output=True, text=True, env=env)
         assert (run.returncode, run.stdout) == (1, "")
         assert run.stderr == message + "\n"
+
+    @pytest.mark.parametrize("marginal, message", [
+        ("uniform:theta=1e308", "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
+        ("exponential:theta=1e308", "cmeasure: arithmetic error: empirical_mean is out of floating-point range"),
+    ])
+    def test_pooled_simulate_exit_1(self, monkeypatch, capsys, marginal, message):
+        # the replicate chunks run on pool threads under the caller's
+        # np.errstate: the quantile's overflow to inf at theta = 1e308 warns
+        # nowhere
+        monkeypatch.setattr(empirical, "_worker_count", lambda: 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--marginal", marginal, "--gos", "record:r=2",
+                                     "--alpha", "0.5", "--n", str(empirical._POOL_MIN_N), "--replicates", "100")
+        assert (code, out, err) == (1, "", message + "\n")
 
 
 def test_uniform_near_float_max_prints_finite_cpi(capsys):

@@ -1,6 +1,10 @@
 """Spacings estimators, exact moments, CLT diagnostics, Monte Carlo harness."""
 
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from concomitant_measures import empirical
 from concomitant_measures.empirical import (
     _MC_BLOCK,
+    _POOL_MIN_N,
     empirical_cpi,
     empirical_cpi_record,
     empirical_cumulative_entropy,
@@ -295,17 +300,35 @@ MC_FAMILIES = [
     (InverseWeibull(1.0, 2.5), record_value(2), -0.3),
 ]
 
-# (n, replicates, block size); most span several blocks, the last one partial
+
+def mc_case(n, replicates, block, workers=None):
+    """One MC_CASES entry; ``workers`` forces the worker count, None keeps
+    this machine's, and the id names only a forced one."""
+    suffix = "" if workers is None else f"-workers{workers}"
+    return pytest.param(n, replicates, block, workers, id=f"{n}-{replicates}-{block}{suffix}")
+
+
+# (n, replicates, block size[, worker count]); most span several blocks, the
+# last one partial.  From _POOL_MIN_N on the replicates are split into one
+# chunk per worker; 3 does not divide 100.
 MC_CASES = [
-    (2, 100, _MC_BLOCK),                # 16,384 rows per block: one block
-    (2, 150, 64),                       # 32 rows: 4 blocks and 22 rows
-    (3, 100, _MC_BLOCK),
-    (3, 150, 64),                       # 21 rows: 7 blocks and 3 rows
-    (25, 3000, _MC_BLOCK),              # 1,310 rows: 2 blocks and 380 rows
-    (200, 400, _MC_BLOCK),              # 163 rows: 2 blocks and 74 rows
-    (_MC_BLOCK // 2 + 1, 100, _MC_BLOCK),  # one replicate per block
-    (_MC_BLOCK + 7, 100, _MC_BLOCK),
+    mc_case(2, 100, _MC_BLOCK),         # 16,384 rows per block: one block
+    mc_case(2, 150, 64),                # 32 rows: 4 blocks and 22 rows
+    mc_case(3, 100, _MC_BLOCK),
+    mc_case(3, 150, 64),                # 21 rows: 7 blocks and 3 rows
+    mc_case(25, 3000, _MC_BLOCK),       # 1,310 rows: 2 blocks and 380 rows
+    mc_case(200, 400, _MC_BLOCK),       # 163 rows: 2 blocks and 74 rows
+    # one replicate per block
+    *(mc_case(_MC_BLOCK // 2 + 1, 100, _MC_BLOCK, workers) for workers in (None, 1, 2, 3)),
+    *(mc_case(_MC_BLOCK + 7, 100, _MC_BLOCK, workers) for workers in (None, 1, 2, 3)),
+    mc_case(_POOL_MIN_N - 1, 100, _MC_BLOCK, 3),  # 8 rows per block, one chunk
+    mc_case(_POOL_MIN_N, 100, _MC_BLOCK, 3),      # 8 rows per block, 3 chunks
 ]
+
+
+def force_workers(monkeypatch, workers):
+    if workers is not None:
+        monkeypatch.setattr(empirical, "_worker_count", lambda: workers)
 
 
 class TestMcValidateMatchesLoop:
@@ -313,9 +336,11 @@ class TestMcValidateMatchesLoop:
 
     @pytest.mark.parametrize("marginal, p, alpha", MC_FAMILIES,
                              ids=["exponential", "logistic", "rayleigh", "genexp", "uniform", "invweibull"])
-    @pytest.mark.parametrize("n, replicates, block", MC_CASES)
-    def test_report_equals_per_replicate_loop(self, monkeypatch, marginal, p, alpha, n, replicates, block):
+    @pytest.mark.parametrize("n, replicates, block, workers", MC_CASES)
+    def test_report_equals_per_replicate_loop(self, monkeypatch, marginal, p, alpha, n, replicates, block,
+                                              workers):
         monkeypatch.setattr(empirical, "_MC_BLOCK", block)
+        force_workers(monkeypatch, workers)
         seed = 2**40 + n
         report = mc_validate(marginal, p, alpha, n, replicates, RngStream(seed, 2))
         vals = mc_replicates_loop(marginal, p, alpha, n, replicates, GeneratorStream(seed, 2))
@@ -329,8 +354,8 @@ class TestMcValidateMatchesLoop:
             assert report.ks_normality == ks_statistic(z, standard_normal_cdf)
             assert report.bias == float(vals.mean()) - report.theoretical_mean
 
-    @pytest.mark.parametrize("n, replicates, block", MC_CASES[1:6])
-    def test_blocks_seed_without_substream(self, monkeypatch, n, replicates, block):
+    @pytest.mark.parametrize("n, replicates, block, workers", MC_CASES[1:6])
+    def test_blocks_seed_without_substream(self, monkeypatch, n, replicates, block, workers):
         # every replicate index is below 2^32, so no block builds a substream
         def no_substream(self, index):
             raise AssertionError(f"substream({index}) called")
@@ -342,3 +367,67 @@ class TestMcValidateMatchesLoop:
         report = mc_validate(marginal, p, alpha, n, replicates, RngStream(11, 4))
         assert report.empirical_mean == float(vals.mean())
         assert report.empirical_variance == float(vals.var(ddof=1))
+
+
+class _ChunkError(Exception):
+    pass
+
+
+class _FailingQuantile(Exponential):
+    """An exponential marginal whose quantile raises, naming its thread."""
+
+    def quantile(self, u):
+        raise _ChunkError(threading.current_thread().name)
+
+
+class TestMcValidatePool:
+    """From _POOL_MIN_N on, mc_validate runs one chunk of replicates per
+    worker on a persistent thread pool."""
+
+    @pytest.mark.parametrize("n, workers, chunks", [
+        (_POOL_MIN_N - 1, 3, [(0, 100)]),
+        (_POOL_MIN_N, 1, [(0, 100)]),
+        (_POOL_MIN_N, 2, [(0, 50), (50, 100)]),
+        (_POOL_MIN_N, 3, [(0, 33), (33, 66), (66, 100)]),
+    ])
+    def test_chunks_partition_the_replicates(self, monkeypatch, n, workers, chunks):
+        force_workers(monkeypatch, workers)
+        fill = empirical._fill_replicates
+        seen = []
+
+        def spy(marginal, w, stream, vals, start, stop):
+            seen.append((start, stop, threading.current_thread() is threading.main_thread()))
+            fill(marginal, w, stream, vals, start, stop)
+
+        monkeypatch.setattr(empirical, "_fill_replicates", spy)
+        mc_validate(Exponential(1.3), record_value(3), 0.5, n, 100, RngStream(1))
+        assert sorted(seen) == [(a, b, len(chunks) == 1) for a, b in chunks]
+
+    def test_chunk_error_reaches_the_caller(self, monkeypatch, capfd):
+        force_workers(monkeypatch, 2)
+        with pytest.raises(_ChunkError) as raised:
+            mc_validate(_FailingQuantile(1.0), record_value(2), 0.5, _POOL_MIN_N, 100, RngStream(1))
+        assert raised.value.args[0].startswith("mc_validate")  # raised on a pool thread
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a multi-threaded process
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        args = (Exponential(1.3), record_value(3), 0.5, _POOL_MIN_N, 100)
+        report = mc_validate(*args, RngStream(5, 1))
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if mc_validate(*args, RngStream(5, 1)) == report else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's pooled mc_validate did not finish in 30 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0

@@ -6,6 +6,9 @@ the integrals and special values / functional equations for psi.
 
 import inspect
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -434,3 +437,31 @@ class TestBlockUniforms:
         b.uniforms(5)
         a.block_uniforms(0, np.empty((4, 10)))
         assert _same_bits(a.uniforms(50), b.uniforms(50))
+
+    def test_concurrent_calls_on_one_stream(self):
+        # more threads than this machine has CPUs fill interleaved blocks
+        # from one fresh stream at once, switching as often as they can
+        stream, total, rows, n = RngStream(17, 3), 512, 2, 4000
+        workers = (os.cpu_count() or 1) + 1
+        expected = np.empty((total, n))
+        RngStream(17, 3).block_uniforms(0, expected)
+        got = np.full((total, n), np.nan)
+        barrier = threading.Barrier(workers)
+
+        def fill(first):
+            barrier.wait()
+            for start in range(first, total, workers * rows):
+                stream.block_uniforms(start, got[start : start + rows])
+
+        threads = [threading.Thread(target=fill, args=(k * rows,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert _same_bits(got, expected)
