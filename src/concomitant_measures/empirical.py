@@ -69,7 +69,8 @@ def _spacing_sum(samples, weights) -> np.ndarray:
     """sum_j U_j w_j over the spacings U of each sample along the last axis,
     with w = weights(n) for samples of size n: every spacings estimator."""
     u = spacings(samples)
-    return np.sum(u * weights(u.shape[-1] + 1), axis=-1)
+    u *= weights(u.shape[-1] + 1)
+    return np.sum(u, axis=-1)
 
 
 def empirical_cpi(values, alpha: float, p: GosParams) -> float:

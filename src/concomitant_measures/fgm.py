@@ -90,7 +90,7 @@ def record_value(r: int) -> GosParams:
 
 # c_star multiplies this many factors per numpy call, which bounds its memory
 _C_STAR_BLOCK = 1 << 16
-# past this r, order statistics and k-records take an O(1) form instead of the product
+# past this r, every m >= -1 takes an O(1) form instead of the product
 _C_STAR_EXACT_R = 1 << 20
 # distinct GosParams whose C* is kept; one measure or table call needs one
 _C_STAR_CACHE = 256
@@ -105,8 +105,9 @@ def c_star(p: GosParams) -> float:
     statistics and records differ from it in the last bits.  Every factor is
     at most 1, so once the product is <= 2^-55, 2 prod - 1 rounds to -1 for
     good and the remaining factors are skipped.  Past r = 2^20, order
-    statistics take (n - 2r + 1)/(n + 1), correctly rounded, and k-records
-    (m = -1) take 2 (k/(k+1))^r - 1 (Kamps 1995); other (m, k) stay O(r).
+    statistics take (n - 2r + 1)/(n + 1), correctly rounded, k-records
+    (m = -1) take 2 (k/(k+1))^r - 1 (Kamps 1995), and every other m > -1
+    takes a log-gamma ratio (:func:`_c_star_gamma_ratio`); m < -1 stays O(r).
 
     Memoised on ``p``: GosParams that compare equal, such as m=-0.0 and
     m=0.0, k=1 and k=1.0, or a float32 m and its float64 value, give the
@@ -119,6 +120,8 @@ def c_star(p: GosParams) -> float:
         if p.m == -1.0:
             # k-records: every gamma_j is k, so the product is (k/(k+1))^r
             return 2.0 * math.exp(p.r * math.log1p(-1.0 / (float(p.k) + 1.0))) - 1.0
+        if p.m > -1.0:
+            return _c_star_gamma_ratio(p)
     # n - j is formed exactly and then rounded once, as in the loop; an n
     # beyond int64 needs Python integers for that
     dtype = np.int64 if p.n < 2**63 else object
@@ -131,6 +134,43 @@ def c_star(p: GosParams) -> float:
         factors[0] *= prod
         prod = float(np.multiply.accumulate(factors)[-1])
     return 2.0 * prod - 1.0
+
+
+# Bernoulli numbers B_0 .. B_10: _c_star_gamma_ratio sums 9 terms of its series
+_BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0, -1.0 / 30.0, 0.0, 5.0 / 66.0)
+
+
+def _c_star_gamma_ratio(p: GosParams) -> float:
+    """C* for m > -1 from the product of the factors (a - j)/(b - j),
+    j = 1..r, with a = n + k/(m+1) and b = a + d, d = 1/(m+1).
+
+    With T(x) = lnGamma(x + d) - lnGamma(x), log prod = T(a - r) - T(a).
+    The bound log prod <= -d ln(b/(b - r)) settles C* = -1 at once, and
+    otherwise keeps the steps below short.  Since T(x) = T(x + 1) -
+    log1p(d/x), a - r is first stepped up to x >= 64 max(1, d).  There
+    T(x) = d ln x + sum_i e_i x^-i with e_i = (-1)^(i+1) (B_(i+1)(d) -
+    B_(i+1)) / (i (i+1)) (DLMF 5.11.8), and T(x) - T(a) is summed term by
+    term from ln(x/a), so no two log-gamma values of size n ln n cancel.
+    """
+    c = float(p.m) + 1.0
+    d, kd = 1.0 / c, float(p.k) / c
+    if not math.isfinite(kd):  # then k > 1e292 <= gamma_j, and every factor rounds to 1
+        return 1.0
+    a, x = p.n + kd, (p.n - p.r) + kd
+    if d * (math.log(a + d) - math.log(x + d)) > 40.0:  # prod < e^-40 < 2^-55
+        return -1.0
+    steps = max(0, math.ceil(64.0 * max(1.0, d) - x))
+    log_prod = -float(np.log1p(d / (x + np.arange(steps))).sum())
+    x += steps
+    # ln(x/a), from a - x = r - steps when x is close to a
+    t = (p.r - steps) / a
+    ln_ratio = math.log1p(-t) if t < 0.5 else math.log(x / a)
+    log_prod += d * ln_ratio
+    for i in range(1, len(_BERNOULLI) - 1):
+        b_diff = sum(math.comb(i + 1, j) * _BERNOULLI[i + 1 - j] * d**j for j in range(1, i + 2))
+        # e_i (x^-i - a^-i), with x^-i - a^-i = -x^-i expm1(i ln(x/a))
+        log_prod += (-1) ** i * b_diff / (i * (i + 1)) * x**-i * math.expm1(i * ln_ratio)
+    return 1.0 + 2.0 * math.expm1(log_prod)
 
 
 @dataclass(frozen=True)

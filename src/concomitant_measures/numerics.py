@@ -291,29 +291,128 @@ def trigamma(x: float) -> float:
 
 # numpy's SeedSequence hash (O'Neill's randutils seed_seq_fe, with numpy's
 # MULT_B) and PCG64's 128-bit LCG multiplier, for RngStream.block_uniforms
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# below this sample size block_uniforms computes a block's PCG64 outputs
+# with array arithmetic, and from it on sets one bit generator per row
+# (README, reproducibility notes)
+_JUMP_MAX_N = 180
+
+
+def _jump_table(steps: int) -> tuple[tuple[int, int], ...]:
+    """(M^K, C_K) mod 2^128 for K = 1, 2, 4, ...: K steps of the PCG64 LCG
+    take the state s to M^K s + C_K inc, with C_K = sum_{i<K} M^i
+    (Brown 1994, Trans. Am. Nucl. Soc. 71:202)."""
+    mult, inc, table = _PCG64_MULT, 1, []
+    for _ in range(steps):
+        table.append((mult, inc))
+        mult, inc = mult * mult & _MASK128, inc * (mult + 1) & _MASK128
+    return tuple(table)
+
+
+_PCG64_JUMPS = _jump_table((_JUMP_MAX_N - 1).bit_length())
+# pcg64_set_seed sets inc = 2 q + 1 and steps the state s + inc once; the
+# first draw steps again, to M^2 s + (1 + M + M^2) inc
+_PCG64_FIRST = (_PCG64_MULT**2 & _MASK128, (1 + _PCG64_MULT + _PCG64_MULT**2) & _MASK128)
+
+
+def _affine128(mult: int, x, add, out=None, spare=None):
+    """out = mult * x + add mod 2^128, each of x, add and out a (high, low)
+    pair of uint64 arrays (add broadcast against x, out not overlapping x);
+    ``spare`` is two arrays shaped like x.  Returns out.
+
+    Array arithmetic wraps silently, unlike numpy's uint64 scalars, so the
+    64 x 64 high product is formed from 32-bit limbs on arrays."""
+    (h, l), (add_h, add_l) = x, add
+    out_h, out_l = out if out is not None else (np.empty_like(l), np.empty_like(l))
+    t1, t2 = spare if spare is not None else (np.empty_like(l), np.empty_like(l))
+    m_h, m_l = np.uint64(mult >> 64 & _MASK64), np.uint64(mult & _MASK64)
+    m1, m0 = np.uint64(mult >> 32 & _MASK32), np.uint64(mult & _MASK32)
+    # high word of l m_l, with out_l as a third spare array
+    np.bitwise_and(l, _MASK32, out=out_l)
+    np.right_shift(l, 32, out=t1)
+    np.multiply(out_l, m0, out=t2)
+    t2 >>= 32
+    np.multiply(t1, m0, out=out_h)
+    out_h += t2  # l1 m0 + (l0 m0 >> 32) < 2^64
+    out_l *= m1
+    np.bitwise_and(out_h, _MASK32, out=t2)
+    out_l += t2  # l0 m1 + the low half of the above < 2^64
+    out_h >>= 32
+    out_l >>= 32
+    t1 *= m1
+    out_h += t1
+    out_h += out_l
+    # the cross products, the low word, then the addend and its carry
+    np.multiply(h, m_l, out=t1)
+    out_h += t1
+    np.multiply(l, m_h, out=t1)
+    out_h += t1
+    np.multiply(l, m_l, out=out_l)
+    out_l += add_l
+    out_h += add_h
+    np.less(out_l, add_l, out=t1)
+    out_h += t1
+    return out_h, out_l
+
+
+def _pcg64_block(words: np.ndarray, raw: np.ndarray) -> None:
+    """Row j of the C-contiguous uint64 array ``raw`` = the outputs of PCG64
+    (XSL-RR 128/64) seeded from column j of ``words``: the (4, rows) uint64
+    words of ``RngStream._seeds``.
+
+    Column k of the (n, rows) state halves is the state of draw k, filled
+    by doubling: columns K..2K-1 are M^K times columns 0..K-1 plus C_K inc.
+    The low halves live in ``raw``'s memory until the outputs are copied
+    there, and the spare arrays span a quarter of the columns."""
+    rows, n = raw.shape
+    lo, hi = raw.reshape(n, rows), np.empty((n, rows), dtype=np.uint64)
+    cols = max(1, n // 4)
+    spare = np.empty((2, cols, rows), dtype=np.uint64)
+    s_h, s_l, q_h, q_l = words
+    inc = (q_h << 1 | q_l >> 63, q_l << 1 | 1)
+    mult, steps = _PCG64_FIRST
+    _affine128(mult, (s_h, s_l), _affine128(steps, inc, (0, 0)), (hi[:1], lo[:1]), spare[:, :1])
+    k = 1
+    for mult, steps in _PCG64_JUMPS[: (n - 1).bit_length()]:
+        add = _affine128(steps, inc, (0, 0))
+        for a in range(0, min(k, n - k), cols):
+            b = min(a + cols, n - k, k)
+            _affine128(mult, (hi[a:b], lo[a:b]), add, (hi[k + a : k + b], lo[k + a : k + b]), spare[:, : b - a])
+        k *= 2
+    # each output is hi ^ lo rotated right by the top 6 bits of the state
+    for a in range(0, n, cols):
+        h, x = hi[a : a + cols], lo[a : a + cols]
+        right = spare[0, : len(h)]
+        x ^= h
+        h >>= 58
+        np.right_shift(x, h, out=right)
+        np.subtract(64, h, out=h)
+        h &= 63
+        np.left_shift(x, h, out=h)
+        h |= right
+    np.copyto(raw, hi.T)
 
 
 def _hash_constants(init: int, mult: int, first: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The hash constant before and after each of ``steps`` hash steps from
-    step ``first`` on, as uint32 arrays: init * mult^k mod 2^32."""
-    h = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + steps + 1)]
-    return np.array(h[:-1], dtype=np.uint32), np.array(h[1:], dtype=np.uint32)
+    step ``first`` on, as uint32 columns: init * mult^k mod 2^32."""
+    h = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + steps + 1)], dtype=np.uint32)
+    return h[:-1, None], h[1:, None]
 
 
 def _hash(v: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """One SeedSequence hash step per column of the uint32 array ``v``."""
+    """One SeedSequence hash step per row of the uint32 array ``v``."""
     v = (v ^ before) * after
     return v ^ (v >> 16)
 
 
 # generate_state(4, uint64) hashes the pool entries 0-3, then 0-3 again, into
-# 8 uint32 words, here shaped (2, 4)
-_STATE_HASH = tuple(h.reshape(2, 4) for h in _hash_constants(_INIT_B, _MULT_B, 0, 8))
+# 8 uint32 words, here shaped (2, 4, 1)
+_STATE_HASH = tuple(h.reshape(2, 4, 1) for h in _hash_constants(_INIT_B, _MULT_B, 0, 8))
 
 
 def _entropy_words(x: int) -> int:
@@ -328,8 +427,10 @@ class RngStream:
     independent (PCG64 seeded through a spawn key).  The sequential draws
     (:meth:`uniform01`, :meth:`uniforms`) advance the stream, so they belong
     to a single consumer; parallel work should partition by stream_id or use
-    :meth:`substream`.  :meth:`block_uniforms` leaves the stream unchanged,
-    and any number of threads may call it on one instance at once.
+    :meth:`substream`.  :meth:`block_uniforms` draws a block of substreams
+    at once, below ``_JUMP_MAX_N`` values per row with array arithmetic on
+    the PCG64 states and from it on row by row; it leaves the stream
+    unchanged, and any number of threads may call it on one instance at once.
 
     Each value is (k + 1/2) 2^-53, with k the top 53 bits of one 64-bit PCG64
     output.  These are the values ``Generator.integers(0, 2**53)`` would give:
@@ -363,50 +464,73 @@ class RngStream:
         # before it, the run entropy padded to 4 words).
         words = max(4, _entropy_words(self.seed)) + sum(_entropy_words(k) for k in self._key)
         index_hash = _hash_constants(_INIT_A, _MULT_A, 4 * words, 4)
-        return self._bits.seed_seq.pool * np.uint32(_MIX_MULT_L), index_hash
+        return (self._bits.seed_seq.pool * np.uint32(_MIX_MULT_L))[:, None], index_hash
 
-    def block_uniforms(self, start: int, out: np.ndarray) -> None:
-        """Fill row j of the 2-d float64 array ``out`` with
-        ``self.substream(start + j).uniforms(out.shape[1])``, bit for bit.
+    def _seeds(self, start: int, rows: int) -> np.ndarray:
+        """The ``generate_state(4, uint64)`` words of the SeedSequences of
+        substreams start, ..., start + rows - 1 (indices below 2^32), one
+        column per row: PCG64's 128-bit seed s in words 0, 1 and its stream
+        q in words 2, 3, each pair as (high, low).
 
         A substream's SeedSequence entropy is this stream's entropy plus one
         word, the index, and numpy hashes every word past the fourth into the
         pool in turn.  So the pool this stream was seeded from is the common
         prefix: only the index word and ``generate_state(4, uint64)`` are
-        hashed here, as uint32 arrays over the block.  Each row then sets the
-        PCG64 state those words seed on one bit generator of this call's own,
-        so concurrent calls share nothing they write.  Indices of 2^32 and
-        above take two entropy words and go through :meth:`substream`.
+        hashed here, as uint32 arrays with one column per row.
+        """
+        mixed_pool, index_hash = self._block_seeding
+        # SeedSequence.mix_entropy: pool[d] = mix(pool[d], hashmix(index))
+        v = _hash(np.arange(start, start + rows, dtype=np.uint32), *index_hash)
+        v = mixed_pool - v * np.uint32(_MIX_MULT_R)
+        v = _hash(v ^ (v >> 16), *_STATE_HASH).reshape(8, rows)
+        # little-endian uint32 pairs make the uint64 words
+        return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").T
+
+    def block_uniforms(self, start: int, out: np.ndarray) -> None:
+        """Fill row j of the 2-d float64 array ``out`` with
+        ``self.substream(start + j).uniforms(out.shape[1])``, bit for bit.
+
+        The rows' PCG64 states are seeded together (:meth:`_seeds`).  Below
+        a sample size of ``_JUMP_MAX_N`` the whole block's outputs are then
+        computed with numpy array arithmetic on the 128-bit LCG states
+        (:func:`_pcg64_block`); from it on, each row sets its state on one
+        bit generator of this call's own and draws from it.  Either way the
+        raw words go into ``out``'s own memory and are converted there, and
+        concurrent calls share nothing they write.  Indices of 2^32 and above
+        take two entropy words and go through :meth:`substream`.
         """
         rows, n = out.shape
-        raw = np.empty((rows, n), dtype=np.uint64)
+        work = out if out.flags.c_contiguous else np.empty((rows, n))
+        raw = work.view(np.uint64)
         fast = max(0, min(rows, 2**32 - start))
-        if fast:
-            mixed_pool, index_hash = self._block_seeding
-            bits = np.random.PCG64(0)
-            # SeedSequence.mix_entropy: pool[d] = mix(pool[d], hashmix(index))
-            v = _hash(np.arange(start, start + fast, dtype=np.uint32)[:, None], *index_hash)
-            v = mixed_pool - v * np.uint32(_MIX_MULT_R)
-            v = _hash((v ^ (v >> 16))[:, None, :], *_STATE_HASH)
-            # little-endian uint32 pairs make generate_state's 4 uint64 words;
-            # PCG64 takes its 128-bit seed from words 0, 1 and its stream from
-            # words 2, 3, each pair as (high, low)
-            seeds = v.astype("<u4", copy=False).view("<u8").tolist()
-            for j, ((s1, s0), (q1, q0)) in enumerate(seeds):
-                inc = ((q1 << 64 | q0) << 1 | 1) & _MASK128
-                seeded = ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128
-                bits.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": seeded, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                raw[j] = bits.random_raw(n)
+        if fast and n:
+            words = self._seeds(start, fast)
+            if n < _JUMP_MAX_N:
+                _pcg64_block(words, raw[:fast])
+            else:
+                # pcg64_set_seed in Python integers: on the one-row blocks of
+                # large n, numpy calls on one-element arrays cost more
+                bits = np.random.PCG64(0)
+                for j, (s1, s0, q1, q0) in enumerate(zip(*words.tolist())):
+                    inc = ((q1 << 64 | q0) << 1 | 1) & _MASK128
+                    bits.state = {
+                        "bit_generator": "PCG64",
+                        "state": {"state": ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
+                        "has_uint32": 0,
+                        "uinteger": 0,
+                    }
+                    raw[j] = bits.random_raw(n)
         for j in range(fast, rows):
             raw[j] = self.substream(start + j)._bits.random_raw(n)
-        # the float64 operations of uniforms, in place
-        np.add(np.right_shift(raw, 11, out=raw), 0.5, out=out)
-        out *= 2.0**-53
+        # the float64 operations of uniforms, in place: a 1-d copyto casts
+        # element by element, where a 2-d one would copy the block first
+        flat = raw.reshape(-1)
+        flat >>= 11
+        np.copyto(work.reshape(-1), flat, casting="unsafe")
+        work += 0.5
+        work *= 2.0**-53
+        if work is not out:
+            out[...] = work
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

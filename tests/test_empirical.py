@@ -38,7 +38,7 @@ from concomitant_measures.marginals import (
     Rayleigh,
     Uniform,
 )
-from concomitant_measures.numerics import RngStream
+from concomitant_measures.numerics import _JUMP_MAX_N, RngStream
 from oracles import GeneratorStream, mc_replicates_loop, spearman_rho
 
 samples = st.lists(
@@ -318,6 +318,10 @@ MC_CASES = [
     mc_case(3, 150, 64),                # 21 rows: 7 blocks and 3 rows
     mc_case(25, 3000, _MC_BLOCK),       # 1,310 rows: 2 blocks and 380 rows
     mc_case(200, 400, _MC_BLOCK),       # 163 rows: 2 blocks and 74 rows
+    # the last sample size of block_uniforms' array-arithmetic path and the
+    # first of its per-row path
+    mc_case(_JUMP_MAX_N - 1, 400, _MC_BLOCK),  # 183 rows: 2 blocks and 34 rows
+    mc_case(_JUMP_MAX_N, 400, _MC_BLOCK),      # 182 rows: 2 blocks and 36 rows
     # one replicate per block
     *(mc_case(_MC_BLOCK // 2 + 1, 100, _MC_BLOCK, workers) for workers in (None, 1, 2, 3)),
     *(mc_case(_MC_BLOCK + 7, 100, _MC_BLOCK, workers) for workers in (None, 1, 2, 3)),

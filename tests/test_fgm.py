@@ -134,6 +134,49 @@ class TestCStar:
             ref = 2 * (kk / (kk + 1)) ** r - 1
             assert abs(value - ref) <= 2.0**-51, (r, k, value, ref)
 
+    @pytest.mark.parametrize("m, k", [(-0.999, 7.5), (-0.5, 2.0), (0.0, 0.5), (0.0, 3.0), (1.0, 1.0),
+                                      (3.7, 1e-3), (1e3, 1.0), (1e9, 1e-3), (-0.3, 3153.7)])
+    @pytest.mark.parametrize("r, n", [(2**20 + 1, 2**20 + 1), (2**20 + 1, 2**20 + 64), (2**20 + 1, 10**7),
+                                      (2**20 + 1, 10**12), (2**20 + 5, 2**63 + 5), (10**7, 10**7),
+                                      (10**9, 10**12), (10**12, 10**12), (10**12, 10**12 + 3),
+                                      (10**12, 10**15), (10**15, 10**18), (10**18, 10**18)])
+    def test_general_gos_past_the_product_match_mpmath(self, r, n, m, k):
+        # log prod = lnG(a) - lnG(a - r) + lnG(b - r) - lnG(b), a = n + k/(m+1),
+        # b = n + (k+1)/(m+1); the working precision is 30 digits beyond the
+        # integer digits of n, which those log-gamma values cancel
+        mp = pytest.importorskip("mpmath")
+        value = c_star(GosParams(r, n, m, k))
+        assert type(value) is float
+        with mp.workdps(30 + len(str(n))):
+            m1 = mp.mpf(m) + 1
+            a, b = n + mp.mpf(k) / m1, n + (mp.mpf(k) + 1) / m1
+            ref = 2 * mp.exp(mp.loggamma(a) - mp.loggamma(a - r) + mp.loggamma(b - r) - mp.loggamma(b)) - 1
+            assert abs(value - ref) <= 2.0**-50, (r, n, m, k, value, ref)
+
+    def test_general_gos_past_the_product_take_no_factors(self, monkeypatch):
+        p = GosParams(10**12, 10**12, 1.0, 1.0)
+
+        def no_gamma(self, j):
+            raise AssertionError("gamma_j formed")
+
+        monkeypatch.setattr(GosParams, "gamma", no_gamma)
+        fgm.c_star.cache_clear()
+        try:
+            assert -1.0 < c_star(p) < -0.99
+        finally:
+            fgm.c_star.cache_clear()
+
+    def test_general_gos_past_the_product_with_k_over_m_plus_1_beyond_double(self):
+        # k/(m+1) overflows; every factor gamma_j/(gamma_j + 1) rounds to 1
+        p = GosParams(2**21, 2**21, -1.0 + 2.0**-53, 1e300)
+        assert c_star(p) == 1.0 == c_star_loop(2**21, 2**21, -1.0 + 2.0**-53, 1e300)
+
+    @pytest.mark.parametrize("m, k", [(-0.5, 2.0), (1.0, 1.0), (2.5, 0.3)])
+    def test_general_gos_keep_the_product_up_to_r0(self, m, k):
+        r = fgm._C_STAR_EXACT_R
+        for n in (r, 3 * r):
+            assert c_star(GosParams(r, n, m, k)) == c_star_loop(r, n, m, k)
+
     @pytest.mark.parametrize("k", [1e6, 1e9])
     def test_k_records_keep_the_product_up_to_r0(self, k):
         # there the loop's value is off the power form from the 10th digit on

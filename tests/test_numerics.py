@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concomitant_measures import numerics
-from concomitant_measures.marginals import InverseWeibull, log_cdf_integral
+from concomitant_measures.empirical import mc_validate
+from concomitant_measures.fgm import record_value
+from concomitant_measures.marginals import Exponential, InverseWeibull, log_cdf_integral
 from concomitant_measures.numerics import (
     _XGK,
     MeasureResult,
@@ -439,9 +442,16 @@ class TestBlockUniforms:
         assert _same_bits(a.uniforms(50), b.uniforms(50))
 
     def test_concurrent_calls_on_one_stream(self):
+        self._fill_concurrently(n=4000, rows=2)
+
+    def test_concurrent_calls_on_one_stream_below_jump_max_n(self):
+        self._fill_concurrently(n=20, rows=16)
+
+    @staticmethod
+    def _fill_concurrently(n, rows):
         # more threads than this machine has CPUs fill interleaved blocks
         # from one fresh stream at once, switching as often as they can
-        stream, total, rows, n = RngStream(17, 3), 512, 2, 4000
+        stream, total = RngStream(17, 3), 512
         workers = (os.cpu_count() or 1) + 1
         expected = np.empty((total, n))
         RngStream(17, 3).block_uniforms(0, expected)
@@ -465,3 +475,49 @@ class TestBlockUniforms:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert _same_bits(got, expected)
+
+    # sample sizes of the array-arithmetic path and the first of the per-row one
+    JUMP_NS = [1, 2, 3, 5, 37, numerics._JUMP_MAX_N - 1, numerics._JUMP_MAX_N]
+
+    @pytest.mark.parametrize("n", JUMP_NS)
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**32, 999), (2**100 - 3, 2**33 + 1), (2**128 + 5, 7)])
+    def test_rows_are_substreams_at_every_path(self, seed, stream_id, n):
+        for parent, reference in self._parents(seed, stream_id):
+            for start, rows in ((0, 1), (5, 3), (123_456, 41)):
+                self._check(parent, reference, start, rows, n)
+
+    @pytest.mark.parametrize("n", JUMP_NS)
+    def test_straddling_index_2_32_at_every_path(self, n):
+        # array-arithmetic or per-row rows, then substream rows
+        for parent, reference in self._parents(2**64 + 11, 2**33 + 1):
+            for start, rows in ((2**32 - 5, 8), (2**32 - 1, 2)):
+                self._check(parent, reference, start, rows, n)
+
+    @pytest.mark.parametrize("n", [numerics._JUMP_MAX_N - 1, numerics._JUMP_MAX_N])
+    def test_path_depends_on_n_alone(self, monkeypatch, n):
+        calls = []
+        block = numerics._pcg64_block
+        monkeypatch.setattr(numerics, "_pcg64_block", lambda *args: calls.append(n) or block(*args))
+        for start, rows in ((0, 1), (0, 300), (2**32 - 2, 3)):
+            RngStream(1).block_uniforms(start, np.empty((rows, n)))
+        assert len(calls) == (3 if n < numerics._JUMP_MAX_N else 0)
+
+    @pytest.mark.parametrize("n", [20, 4000])
+    def test_non_contiguous_out(self, n):
+        a, b = RngStream(9, 2), GeneratorStream(9, 2)
+        out = np.full((n, 6), np.nan).T
+        a.block_uniforms(40, out)
+        expected = np.array([b.substream(40 + j).uniforms(n) for j in range(6)])
+        assert _same_bits(np.ascontiguousarray(out), expected)
+
+    def test_no_floating_point_or_overflow_warnings(self):
+        # uint64 arithmetic wraps silently on arrays, not on numpy scalars
+        out = np.empty((300, 20))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            RngStream(2**100 - 3, 5).block_uniforms(2**32 - 150, out)
+            report = mc_validate(Exponential(1.0), record_value(2), 0.5, 20, 200, RngStream(4))
+        expected = np.array([GeneratorStream(2**100 - 3, 5).substream(2**32 - 150 + j).uniforms(20)
+                             for j in range(300)])
+        assert _same_bits(out, expected)
+        assert math.isfinite(report.empirical_mean)
