@@ -88,10 +88,8 @@ def record_value(r: int) -> GosParams:
     return GosParams(r=r, n=r, m=-1.0, k=1.0)
 
 
-# c_star multiplies this many factors per numpy call, which bounds its memory
-_C_STAR_BLOCK = 1 << 16
-# past this r, every m >= -1 takes an O(1) form instead of the product
-_C_STAR_EXACT_R = 1 << 20
+# up to this r, C* is one product of r factors; past it, an O(1) form
+_C_STAR_EXACT_R = 1 << 16
 # distinct GosParams whose C* is kept; one measure or table call needs one
 _C_STAR_CACHE = 256
 
@@ -100,40 +98,30 @@ _C_STAR_CACHE = 256
 def c_star(p: GosParams) -> float:
     """Concomitant coefficient C*(r, n, m, k); always inside [-1, 1].
 
-    The product is accumulated left to right in j, factor by factor, so it
-    rounds exactly as the plain loop does; the closed forms for order
-    statistics and records differ from it in the last bits.  Every factor is
-    at most 1, so once the product is <= 2^-55, 2 prod - 1 rounds to -1 for
-    good and the remaining factors are skipped.  Past r = 2^20, order
-    statistics take (n - 2r + 1)/(n + 1), correctly rounded, k-records
-    (m = -1) take 2 (k/(k+1))^r - 1 (Kamps 1995), and every other m > -1
-    takes a log-gamma ratio (:func:`_c_star_gamma_ratio`); m < -1 stays O(r).
+    Up to r = 2^16 the product is accumulated left to right in j, factor by
+    factor, so it rounds exactly as the plain loop does.  Past it, and where
+    gamma_1 overflows (the loop's factor is then inf/inf), order statistics
+    take (n - 2r + 1)/(n + 1), correctly rounded, k-records (m = -1) take
+    2 (k/(k+1))^r - 1 (Kamps 1995), and every other m takes a log-gamma
+    ratio (:func:`_c_star_gamma_ratio`).
 
     Memoised on ``p``: GosParams that compare equal, such as m=-0.0 and
     m=0.0, k=1 and k=1.0, or a float32 m and its float64 value, give the
     same gammas, hence the same product.
     """
-    if p.r > _C_STAR_EXACT_R:
+    if p.r > _C_STAR_EXACT_R or p.gamma(1) == math.inf:
         if p.is_order_statistics():
             # the product telescopes to (n - r + 1)/(n + 1); int / int rounds once
             return (p.n - 2 * p.r + 1) / (p.n + 1)
         if p.m == -1.0:
-            # k-records: every gamma_j is k, so the product is (k/(k+1))^r
-            return 2.0 * math.exp(p.r * math.log1p(-1.0 / (float(p.k) + 1.0))) - 1.0
-        if p.m > -1.0:
-            return _c_star_gamma_ratio(p)
+            # k-records: every gamma_j is k, so the product is (1 + 1/k)^-r;
+            # (unlike 1/(k+1), 1/k does not round to 1 for k below 2^-53)
+            return 2.0 * math.exp(-p.r * math.log1p(1.0 / float(p.k))) - 1.0
+        return _c_star_gamma_ratio(p)
     # n - j is formed exactly and then rounded once, as in the loop; an n
     # beyond int64 needs Python integers for that
-    dtype = np.int64 if p.n < 2**63 else object
-    prod = 1.0
-    for start in range(1, p.r + 1, _C_STAR_BLOCK):
-        if prod <= 2.0**-55:
-            return -1.0
-        g = p.gamma(np.arange(start, min(start + _C_STAR_BLOCK, p.r + 1), dtype=dtype))
-        factors = g / (g + 1.0)
-        factors[0] *= prod
-        prod = float(np.multiply.accumulate(factors)[-1])
-    return 2.0 * prod - 1.0
+    g = p.gamma(np.arange(1, p.r + 1, dtype=np.int64 if p.n < 2**63 else object))
+    return 2.0 * float(np.multiply.accumulate(g / (g + 1.0))[-1]) - 1.0
 
 
 # Bernoulli numbers B_0 .. B_10: _c_star_gamma_ratio sums 9 terms of its series
@@ -141,23 +129,30 @@ _BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0, -1.0
 
 
 def _c_star_gamma_ratio(p: GosParams) -> float:
-    """C* for m > -1 from the product of the factors (a - j)/(b - j),
-    j = 1..r, with a = n + k/(m+1) and b = a + d, d = 1/(m+1).
+    """C* for m != -1 from the product of the factors x/(x + d) over
+    x = x0, x0 + 1, .., a - 1, with d = 1/|m+1| and a = x0 + r.
 
-    With T(x) = lnGamma(x + d) - lnGamma(x), log prod = T(a - r) - T(a).
-    The bound log prod <= -d ln(b/(b - r)) settles C* = -1 at once, and
-    otherwise keeps the steps below short.  Since T(x) = T(x + 1) -
-    log1p(d/x), a - r is first stepped up to x >= 64 max(1, d).  There
-    T(x) = d ln x + sum_i e_i x^-i with e_i = (-1)^(i+1) (B_(i+1)(d) -
-    B_(i+1)) / (i (i+1)) (DLMF 5.11.8), and T(x) - T(a) is summed term by
-    term from ln(x/a), so no two log-gamma values of size n ln n cancel.
+    x0 is the smallest gamma_j times d: gamma_r d = n - r + k/(m+1) for
+    m > -1, gamma_1 d for m < -1.  With T(x) = lnGamma(x + d) - lnGamma(x),
+    log prod = T(x0) - T(a).  The first factor is at most x0/d, and log prod
+    <= -d ln((a + d)/(x0 + d)); either bound settles C* = -1 at once, and
+    the second keeps the steps below short.  Since T(x) = T(x + 1) -
+    log1p(d/x), x0 is first stepped up to x >= 64 max(1, d).  There T(x) =
+    d ln x + sum_i e_i x^-i with e_i = (-1)^(i+1) (B_(i+1)(d) - B_(i+1)) /
+    (i (i+1)) (DLMF 5.11.8), and T(x) - T(a) is summed term by term from
+    ln(x/a), so no two log-gamma values of size n ln n cancel.
     """
     c = float(p.m) + 1.0
-    d, kd = 1.0 / c, float(p.k) / c
-    if not math.isfinite(kd):  # then k > 1e292 <= gamma_j, and every factor rounds to 1
+    d = 1.0 / abs(c)
+    if c > 0.0:
+        kd = float(p.k) / c
+        x, a = (p.n - p.r) + kd, p.n + kd
+    else:
+        x = p.gamma(1) * d
+        a = x + p.r
+    if not math.isfinite(x):  # then every gamma_j > 1e292, and every factor rounds to 1
         return 1.0
-    a, x = p.n + kd, (p.n - p.r) + kd
-    if d * (math.log(a + d) - math.log(x + d)) > 40.0:  # prod < e^-40 < 2^-55
+    if x < d * 2.0**-56 or d * (math.log(a + d) - math.log(x + d)) > 40.0:  # prod < 2^-55
         return -1.0
     steps = max(0, math.ceil(64.0 * max(1.0, d) - x))
     log_prod = -float(np.log1p(d / (x + np.arange(steps))).sum())

@@ -424,13 +424,13 @@ class RngStream:
     """A deterministic uniform(0,1) stream identified by (seed, stream_id).
 
     Streams with different ``stream_id`` under the same seed are statistically
-    independent (PCG64 seeded through a spawn key).  The sequential draws
-    (:meth:`uniform01`, :meth:`uniforms`) advance the stream, so they belong
-    to a single consumer; parallel work should partition by stream_id or use
-    :meth:`substream`.  :meth:`block_uniforms` draws a block of substreams
-    at once, below ``_JUMP_MAX_N`` values per row with array arithmetic on
-    the PCG64 states and from it on row by row; it leaves the stream
-    unchanged, and any number of threads may call it on one instance at once.
+    independent (PCG64 seeded through a spawn key).  :meth:`uniforms`
+    advances the stream, so its draws belong to a single consumer; parallel
+    work should partition by stream_id or use :meth:`substream`.
+    :meth:`block_uniforms` draws a block of substreams at once, below
+    ``_JUMP_MAX_N`` values per row with array arithmetic on the PCG64 states
+    and from it on row by row; it leaves the stream unchanged, and any
+    number of threads may call it on one instance at once.
 
     Each value is (k + 1/2) 2^-53, with k the top 53 bits of one 64-bit PCG64
     output.  These are the values ``Generator.integers(0, 2**53)`` would give:
@@ -443,10 +443,6 @@ class RngStream:
         self.stream_id = int(stream_id)
         self._key = _key if _key is not None else (self.stream_id,)
         self._bits = np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self._key))
-
-    def uniform01(self) -> float:
-        """Next value, strictly inside (0, 1)."""
-        return ((self._bits.random_raw() >> 11) + 0.5) * 2.0**-53
 
     def uniforms(self, size: int) -> np.ndarray:
         """Next ``size`` values as an array, each strictly inside (0, 1)."""

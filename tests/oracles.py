@@ -206,9 +206,6 @@ class GeneratorStream:
             np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self._key))
         )
 
-    def uniform01(self):
-        return (int(self._gen.integers(0, 1 << 53)) + 0.5) * 2.0**-53
-
     def uniforms(self, size):
         return (self._gen.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
 

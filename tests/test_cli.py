@@ -151,7 +151,7 @@ class TestMeasure:
         assert parse_csv(out)[0]["gos"] == "os:r=1,n=1000000000"
 
     def test_large_record_index_does_not_hang(self, capsys):
-        # C* is -1 to the last bit long before r = 1e12 factors
+        # past r = 2^16, C* of a record is 2^(1-r) - 1, here -1 to the last bit
         code, out, _ = run_cli(
             capsys, "measure", "--marginal", "exponential:theta=1",
             "--gos", "record:r=1e12", "--alpha", "0.5", "--measure", "inaccuracy",
@@ -162,7 +162,7 @@ class TestMeasure:
         assert float(row["value"]) == 1.25
 
     def test_large_order_statistic_index_does_not_hang(self, capsys):
-        # past r = 2^20, C* of an order statistic is (n - 2r + 1)/(n + 1)
+        # past r = 2^16, C* of an order statistic is (n - 2r + 1)/(n + 1)
         code, out, _ = run_cli(
             capsys, "measure", "--marginal", "exponential:theta=1",
             "--gos", "os:r=1e12,n=1e12", "--alpha", "0.5", "--measure", "inaccuracy",
@@ -172,14 +172,38 @@ class TestMeasure:
         assert row["gos"] == "os:r=1000000000000,n=1000000000000"
         assert float(row["value"]) == pytest.approx(1.25, abs=1e-11)
 
-    def test_large_k_record_index_does_not_hang(self, capsys):
-        # past r = 2^20, C* of a k-record is 2 (k/(k+1))^r - 1
+    @pytest.mark.parametrize("gos", ["r=1e12,n=1e12,m=-1,k=1e9", "r=2000000,n=2000000,m=-1,k=1e-20"])
+    def test_large_k_record_index_does_not_hang(self, capsys, gos):
+        # past r = 2^16, C* of a k-record is 2 (k/(k+1))^r - 1, here -1; at
+        # k = 1e-20, 1/(k+1) rounds to 1
         code, out, _ = run_cli(
             capsys, "measure", "--marginal", "exponential:theta=1",
-            "--gos", "r=1e12,n=1e12,m=-1,k=1e9", "--alpha", "0.5", "--measure", "inaccuracy",
+            "--gos", gos, "--alpha", "0.5", "--measure", "inaccuracy",
         )
         assert code == 0
         assert float(parse_csv(out)[0]["value"]) == pytest.approx(1.25, abs=1e-11)
+
+    def test_large_index_with_m_below_minus_one_does_not_hang(self, capsys):
+        # past r = 2^16, C* for m < -1 is a log-gamma ratio too; the
+        # exponential's inaccuracy is 1 - alpha C*/2, and C* is
+        # 0.965933726541869319 (mpmath)
+        code, out, _ = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1",
+            "--gos", "r=17179869184,n=17179869184,m=-1.0000001,k=1e12", "--alpha", "0.5",
+            "--measure", "inaccuracy",
+        )
+        assert code == 0
+        assert float(parse_csv(out)[0]["value"]) == pytest.approx(1.0 - 0.25 * 0.965933726541869319, abs=1e-15)
+
+    def test_gos_whose_gamma_1_overflows(self, capsys):
+        # (n-1)(m+1) overflows, every factor is 1 - 1e-300 or closer, so C*
+        # is 1 to the last bit and the value is 1 - alpha/2
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", "exponential:theta=1",
+            "--gos", "r=5,n=1e10,m=1e300,k=1", "--alpha", "0.5", "--measure", "inaccuracy",
+        )
+        assert (code, err) == (0, "")
+        assert float(parse_csv(out)[0]["value"]) == pytest.approx(0.75, abs=1e-15)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_specs_formatted_once_per_call(self, capsys, monkeypatch, fmt):

@@ -1,11 +1,13 @@
 """FGM model, C* coefficient, concomitant laws, and samplers."""
 
 import math
+import warnings
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from concomitant_measures import fgm
@@ -29,6 +31,33 @@ from concomitant_measures.fgm import (
 from concomitant_measures.marginals import Exponential, SpecFormatError, Uniform
 from concomitant_measures.numerics import RngStream, integrate
 from oracles import GeneratorStream, c_star_loop, integrate_per_panel, spearman_rho
+
+
+def _loop_cases(r):
+    """(n, m, k) for order statistics, records and general (m, k) at index r."""
+    return [(r, 0.0, 1.0), (r, -1.0, 1.0), (2 * r + 1, 0.0, 1.0), (10**12, 0.0, 1.0),
+            (3 * r, -0.5, 2.0), (r + 5, 2.5, 0.3), (10**19, 0.5, 1.0)]
+
+
+def c_star_mpmath(r, n, m, k):
+    """C* in mpmath from the exact m and k.
+
+    For m = -1 it is 2 (k/(k+1))^r - 1.  Otherwise, over j = 1..r the
+    factors gamma_j/(gamma_j + 1) are x/(x + d) for x = x0, .., x0 + r - 1,
+    with d = 1/|m+1| and x0 the smallest gamma_j times d, so log prod =
+    T(x0) - T(x0 + r), T(x) = lnG(x + d) - lnG(x).  The working precision
+    is 40 digits beyond those of the terms that cancel.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40 + len(str(n)) + max(0, int(math.log10(k)))):
+        c = mp.mpf(m) + 1
+        if c == 0:
+            return 2 * (k / (k + mp.mpf(1))) ** r - 1
+        x0 = (k + (n - (r if c > 0 else 1)) * c) / abs(c)
+        with mp.workdps(40 + len(str(int(x0 + r)))):
+            d = 1 / abs(c)
+            return 2 * mp.exp(mp.loggamma(x0 + d) - mp.loggamma(x0) - mp.loggamma(x0 + r + d)
+                              + mp.loggamma(x0 + r)) - 1
 
 
 class TestCStar:
@@ -59,35 +88,44 @@ class TestCStar:
                     assert all(abs(v) <= 1.0 for v in values)
                     assert all(a >= b - 1e-14 for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("r", [1, 2, 7, 1000, 65_536, 65_537, 100_000])
+    @pytest.mark.parametrize("r", [1, 2, 7, 1000, 65_536])
     def test_bitwise_equal_to_the_loop(self, r):
-        # the closed forms are a few ulps off the loop; c_star must not be
-        for n, m, k in [(r, 0.0, 1.0), (r, -1.0, 1.0), (2 * r + 1, 0.0, 1.0), (10**12, 0.0, 1.0),
-                        (3 * r, -0.5, 2.0), (r + 5, 2.5, 0.3), (10**19, 0.5, 1.0)]:
+        # the closed forms are a few ulps off the loop; up to r0 c_star must not be
+        assert r <= fgm._C_STAR_EXACT_R
+        for n, m, k in _loop_cases(r):
             value = c_star(GosParams(r, n, m, k))
             assert type(value) is float
             assert value == c_star_loop(r, n, m, k), (r, n, m, k)
 
-    @pytest.mark.parametrize("block", [3, 64, fgm._C_STAR_BLOCK])
-    def test_bitwise_equal_to_the_loop_past_underflow(self, monkeypatch, request, block):
-        # once the product is <= 2^-55, c_star stops at the next block
-        # boundary and returns -1.0; the loop must give exactly that
-        monkeypatch.setattr(fgm, "_C_STAR_BLOCK", block)
-        # no value computed at another block size may be served from the memo
-        fgm.c_star.cache_clear()
-        request.addfinalizer(fgm.c_star.cache_clear)
+    @pytest.mark.parametrize("r", [65_537, 100_000])
+    def test_past_r0_equal_to_the_exact_value(self, r):
+        # order statistics and records correctly rounded, the rest within 2^-50 of mpmath
+        for n, m, k in _loop_cases(r):
+            value = c_star(GosParams(r, n, m, k))
+            assert type(value) is float
+            if k == 1.0 and m in (0.0, -1.0):
+                exact = Fraction(n - 2 * r + 1, n + 1) if m == 0.0 else Fraction(2, 2**r) - 1
+                assert value == float(exact), (r, n, m, k)
+            else:
+                assert abs(value - c_star_mpmath(r, n, m, k)) <= 2.0**-50, (r, n, m, k)
+
+    def test_bitwise_equal_to_the_loop_past_underflow(self):
+        # once the product is <= 2^-55, 2 prod - 1 rounds to -1.0 for good;
+        # up to r0 c_star must give the loop's -1.0, past it the exact one
         cases = [(r, n, m, k) for m, n, k in [(-1.0, 400, 0.01), (-1.0, 400, 0.5), (-1.0, 400, 1.0),
                                               (-1.0, 400, 3.0), (-0.9, 400, 0.01), (-0.9, 400, 0.5),
                                               (-0.5, 400, 1.0), (2.0, 50, 1.0)]
                  for r in range(1, n + 1, 3)]
-        cases += [(r, r, -1.0, 40.0) for r in (1_543, 1_544, 65_537, 131_073)]
+        cases += [(r, r, -1.0, 40.0) for r in (1_543, 1_544)]
         minus_one = 0
         for r, n, m, k in cases:
             expected = c_star_loop(r, n, m, k)
             assert c_star(GosParams(r, n, m, k)) == expected, (r, n, m, k)
             minus_one += expected == -1.0
         assert minus_one > 300
-        assert fgm.c_star.cache_info().hits == 0
+        for r in (65_537, 131_073):
+            # (40/41)^r < e^-1600, so C* is -1 to the last bit
+            assert c_star(GosParams(r, r, -1.0, 40.0)) == -1.0 == float(c_star_mpmath(r, r, -1.0, 40.0))
 
     @pytest.mark.parametrize("r, n", [(1, 1), (7, 20), (65_537, 10**12)])
     @pytest.mark.parametrize("first, second", [((-0.0, 1), (0.0, 1.0)), ((0.0, 1.0), (-0.0, 1)),
@@ -97,21 +135,30 @@ class TestCStar:
                                                ((2**-30, 1.0), (np.float32(2**-30), 1.0))])
     def test_equal_keys_written_differently_give_the_loop(self, request, r, n, first, second):
         # the memo serves the second key from the first; each must be the
-        # loop's value in double precision (a float32 m + 1.0 would round)
+        # value in double precision (a float32 m + 1.0 would round): up to
+        # r0 the loop's, past it an uncached call's on float64 m and k, within
+        # 2^-50 of mpmath
         fgm.c_star.cache_clear()
         request.addfinalizer(fgm.c_star.cache_clear)
         for m, k in (first, second):
             assert GosParams(r, n, m, k) == GosParams(r, n, *first)
-            assert c_star(GosParams(r, n, m, k)) == c_star_loop(r, n, float(m), float(k)), (r, n, m, k)
+            value = c_star(GosParams(r, n, m, k))
+            if r <= fgm._C_STAR_EXACT_R:
+                assert value == c_star_loop(r, n, float(m), float(k)), (r, n, m, k)
+            else:
+                assert value == c_star.__wrapped__(GosParams(r, n, float(m), float(k))), (r, n, m, k)
+                assert abs(value - c_star_mpmath(r, n, float(m), float(k))) <= 2.0**-50, (r, n, m, k)
         assert fgm.c_star.cache_info().hits == 1
 
-    @pytest.mark.parametrize("r, n", [(2**20 + 1, 2**20 + 1), (2**20 + 1, 2**21 + 1),
+    @pytest.mark.parametrize("r, n", [(2**16 + 1, 2**16 + 1), (2**16 + 1, 2**17 + 1), (2**16 + 1, 3 * 2**16 + 7),
+                                      (2**16 + 1, 10**12), (2**16 + 1, 10**19),
+                                      (2**20 + 1, 2**20 + 1), (2**20 + 1, 2**21 + 1),
                                       (2**20 + 1, 3 * 2**20 + 7), (2**20 + 1, 10**12), (2**20 + 1, 10**19),
                                       (10**12, 10**12), (10**12, 2 * 10**12 - 1), (10**12, 3 * 10**12 + 1),
                                       (10**12, 10**19 - 1), (10**12, 10**19), (5 * 10**18, 10**19),
                                       (10**19, 10**19)])
     def test_order_statistics_past_the_product_are_correctly_rounded(self, r, n):
-        assert fgm._C_STAR_EXACT_R == 2**20
+        assert fgm._C_STAR_EXACT_R == 2**16
         value = c_star(order_statistics(r, n))
         assert type(value) is float
         assert value == float(Fraction(n - 2 * r + 1, n + 1))
@@ -122,10 +169,11 @@ class TestCStar:
         exact = float(Fraction(1, 2 * r + 1))  # (n - 2r + 1)/(n + 1) at n = 2r
         assert c_star(order_statistics(r, 2 * r)) == c_star_loop(r, 2 * r, 0.0, 1.0) != exact
 
-    @pytest.mark.parametrize("k", [1.5, 1e3, 1e6, 1e9])
-    @pytest.mark.parametrize("r", [2**20 + 1, 2**21, 10**7, 10**9, 10**10, 10**12])
+    @pytest.mark.parametrize("k", [1e-300, 1e-20, 1.5, 1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("r", [2**16 + 1, 2**20 + 1, 2**21, 10**7, 10**9, 10**10, 10**12])
     def test_k_records_past_the_product_match_mpmath(self, r, k):
-        # every gamma_j is k, so C* = 2 (k/(k+1))^r - 1 (Kamps 1995)
+        # every gamma_j is k, so C* = 2 (k/(k+1))^r - 1 (Kamps 1995); below
+        # k = 2^-53, 1/(k+1) rounds to 1
         mp = pytest.importorskip("mpmath")
         value = c_star(GosParams(r, r, -1.0, k))
         assert type(value) is float
@@ -136,7 +184,8 @@ class TestCStar:
 
     @pytest.mark.parametrize("m, k", [(-0.999, 7.5), (-0.5, 2.0), (0.0, 0.5), (0.0, 3.0), (1.0, 1.0),
                                       (3.7, 1e-3), (1e3, 1.0), (1e9, 1e-3), (-0.3, 3153.7)])
-    @pytest.mark.parametrize("r, n", [(2**20 + 1, 2**20 + 1), (2**20 + 1, 2**20 + 64), (2**20 + 1, 10**7),
+    @pytest.mark.parametrize("r, n", [(2**16 + 1, 2**16 + 1), (2**16 + 1, 10**7), (2**16 + 1, 2**63 + 5),
+                                      (2**20 + 1, 2**20 + 1), (2**20 + 1, 2**20 + 64), (2**20 + 1, 10**7),
                                       (2**20 + 1, 10**12), (2**20 + 5, 2**63 + 5), (10**7, 10**7),
                                       (10**9, 10**12), (10**12, 10**12), (10**12, 10**12 + 3),
                                       (10**12, 10**15), (10**15, 10**18), (10**18, 10**18)])
@@ -153,6 +202,39 @@ class TestCStar:
             ref = 2 * mp.exp(mp.loggamma(a) - mp.loggamma(a - r) + mp.loggamma(b - r) - mp.loggamma(b)) - 1
             assert abs(value - ref) <= 2.0**-50, (r, n, m, k, value, ref)
 
+    @pytest.mark.parametrize("m", [-1.0000001, -1.5, -2.0, -1e3])
+    @pytest.mark.parametrize("q", [1.02, 3.0, 1e4, 1e9])
+    @pytest.mark.parametrize("r, n", [(2**16 + 1, 2**16 + 1), (2**16 + 1, 10**7), (10**7, 10**7),
+                                      (10**9, 10**12), (10**12, 10**12)])
+    def test_m_below_minus_one_past_the_product_match_mpmath(self, r, n, m, q):
+        # gamma_1 = k - (n-1)|m+1| = k (1 - 1/q) is at least k/100, so it
+        # carries all but a few bits of k into the start x0 = gamma_1 / |m+1|
+        k = q * (n - 1) * -(m + 1.0)
+        value = c_star(GosParams(r, n, m, k))
+        assert type(value) is float
+        assert abs(value - c_star_mpmath(r, n, m, k)) <= 2.0**-50, (r, n, m, k)
+
+    @pytest.mark.parametrize("k", [13_107_200_000_000_002.0, 13_107_200_000_000_004.0])
+    def test_m_below_minus_one_at_the_edge_of_validity(self, k):
+        # gamma_1 = k - 2^17 * 1e11 is 2 or 4, exactly; k/|m+1| - (n-1) would
+        # round both starts x0 = gamma_1 / |m+1| to the same 2^-35
+        r = n = 2**17 + 1
+        assert abs(c_star(GosParams(r, n, -1.0 - 1e11, k)) - c_star_mpmath(r, n, -1.0 - 1e11, k)) <= 2.0**-50
+
+    def test_m_below_minus_one_with_a_huge_index_does_not_hang(self):
+        # about 1.7e10 factors, none below 1 - 1e-12
+        p = GosParams(2**34, 2**34, -1.0000001, 1e12)
+        assert abs(c_star(p) - c_star_mpmath(2**34, 2**34, -1.0000001, 1e12)) <= 2.0**-50
+
+    @pytest.mark.parametrize("r, n, m", [(5, 10**10, 1e300), (3, 3, 1e308), (2**16, 2**16, 1e305)])
+    def test_gamma_1_beyond_double_takes_the_gamma_ratio(self, r, n, m):
+        # (n-1)(m+1) overflows, so the loop's first factor is inf/inf
+        assert math.isnan(c_star_loop(r, n, m, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = c_star(GosParams(r, n, m, 1.0))
+        assert abs(value - c_star_mpmath(r, n, m, 1.0)) <= 2.0**-50, value
+
     def test_general_gos_past_the_product_take_no_factors(self, monkeypatch):
         p = GosParams(10**12, 10**12, 1.0, 1.0)
 
@@ -166,10 +248,18 @@ class TestCStar:
         finally:
             fgm.c_star.cache_clear()
 
-    def test_general_gos_past_the_product_with_k_over_m_plus_1_beyond_double(self):
-        # k/(m+1) overflows; every factor gamma_j/(gamma_j + 1) rounds to 1
-        p = GosParams(2**21, 2**21, -1.0 + 2.0**-53, 1e300)
-        assert c_star(p) == 1.0 == c_star_loop(2**21, 2**21, -1.0 + 2.0**-53, 1e300)
+    @pytest.mark.parametrize("m", [-1.0 + 2.0**-53, -1.0 - 2.0**-52])
+    def test_general_gos_past_the_product_with_k_over_m_plus_1_beyond_double(self, m):
+        # k/|m+1| overflows; every factor gamma_j/(gamma_j + 1) rounds to 1
+        p = GosParams(2**21, 2**21, m, 1e300)
+        assert c_star(p) == 1.0 == c_star_loop(2**21, 2**21, m, 1e300)
+
+    def test_general_gos_past_the_product_with_a_first_factor_below_2_to_minus_56(self):
+        # gamma_r = k = 1e-300 and k/(m+1) underflows to 0; C* is -1 without
+        # dividing by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert c_star(GosParams(2**20 + 1, 2**20 + 1, 1e300, 1e-300)) == -1.0
 
     @pytest.mark.parametrize("m, k", [(-0.5, 2.0), (1.0, 1.0), (2.5, 0.3)])
     def test_general_gos_keep_the_product_up_to_r0(self, m, k):
@@ -181,8 +271,36 @@ class TestCStar:
     def test_k_records_keep_the_product_up_to_r0(self, k):
         # there the loop's value is off the power form from the 10th digit on
         r = fgm._C_STAR_EXACT_R
-        power = 2.0 * math.exp(r * math.log1p(-1.0 / (k + 1.0))) - 1.0
+        power = 2.0 * math.exp(-r * math.log1p(1.0 / k)) - 1.0
         assert c_star(GosParams(r, r, -1.0, k)) == c_star_loop(r, r, -1.0, k) != power
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=timedelta(milliseconds=500))
+    def test_every_valid_gos_gives_a_coefficient_in_range(self, data):
+        # both sides of r0, n beyond int64, m on both sides of -1 and k over
+        # the double range; a product of 2^16 Python-integer gammas (n >=
+        # 2^63) takes a few ms, an O(r) path past r0 would take seconds
+        r = data.draw(st.one_of(st.integers(1, 2**16), st.integers(2**16 + 1, 10**18)), "r")
+        n = r + data.draw(st.one_of(st.integers(0, 100), st.integers(0, 2**70)), "n - r")
+        k = 10.0 ** data.draw(st.floats(-300, 300), "log10 k")
+        form = data.draw(st.sampled_from(["os", "k-record", "m > -1", "m < -1"]), "form")
+        c = 10.0 ** data.draw(st.floats(-16, 300), "log10 |m+1|")
+        if form == "m < -1":
+            # gamma_1 > 0 needs k > (n-1)|m+1|; from just above that bound
+            m = -1.0 - c
+            k = max(k, (n - 1) * -(m + 1.0) * (1.0 + 10.0 ** data.draw(st.floats(-16, 3), "log10 margin")))
+        else:
+            m = {"os": 0.0, "k-record": -1.0, "m > -1": c - 1.0}[form]
+            k = 1.0 if form == "os" else k
+        try:
+            p = GosParams(r, n, m, k)
+        except ValueError:
+            reject()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = c_star.__wrapped__(p)
+        assert type(value) is float
+        assert -1.0 <= value <= 1.0, p
 
     def test_invalid_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
