@@ -59,18 +59,25 @@ __all__ = [
 def spacings(values) -> np.ndarray:
     """Gaps between consecutive order statistics of a sample (sorted
     internally), along the last axis."""
+    return np.diff(_sorted(values))
+
+
+def _sorted(values) -> np.ndarray:
+    """A sorted float copy of the sample(s) ``values``, along the last axis."""
     z = np.sort(np.asarray(values, dtype=float))
     if z.size < 2:
         raise ValueError("need a sample of size >= 2")
-    return np.diff(z)
+    return z
 
 
-def _spacing_sum(samples, weights) -> np.ndarray:
-    """sum_j U_j w_j over the spacings U of each sample along the last axis,
-    with w = weights(n) for samples of size n: every spacings estimator."""
-    u = spacings(samples)
-    u *= weights(u.shape[-1] + 1)
-    return np.sum(u, axis=-1)
+def _spacing_sum(z, weights, out=None, spare=None) -> np.ndarray:
+    """sum_j U_j w_j over the spacings U of each sorted sample along the last
+    axis of ``z``, with w = weights(n) for samples of size n: every spacings
+    estimator.  The spacings are formed in ``spare`` and the sums written to
+    ``out`` where these are given."""
+    u = np.subtract(z[..., 1:], z[..., :-1], out=spare)
+    u *= weights(z.shape[-1])
+    return np.sum(u, axis=-1, out=out)
 
 
 def empirical_cpi(values, alpha: float, p: GosParams) -> float:
@@ -82,7 +89,7 @@ def empirical_cpi(values, alpha: float, p: GosParams) -> float:
     if not abs(alpha) <= 1.0:
         raise ValueError(f"|alpha| must be <= 1, got {alpha}")
     coeff = alpha * c_star(p)
-    return float(_spacing_sum(values, lambda n: _estimator_weights(n, coeff)))
+    return float(_spacing_sum(_sorted(values), lambda n: _estimator_weights(n, coeff)))
 
 
 def empirical_cpi_record(values, alpha: float, r: int) -> float:
@@ -92,7 +99,7 @@ def empirical_cpi_record(values, alpha: float, r: int) -> float:
 
 def empirical_cumulative_entropy(values) -> float:
     """Spacings estimator of CE(Y): sum U_j (j/n)(-log(j/n))."""
-    return float(_spacing_sum(values, lambda n: _estimator_weights(n, 0.0)))
+    return float(_spacing_sum(_sorted(values), lambda n: _estimator_weights(n, 0.0)))
 
 
 def empirical_cumulative_entropy_max2(values) -> float:
@@ -102,7 +109,7 @@ def empirical_cumulative_entropy_max2(values) -> float:
         j = np.arange(1, n) / n
         return -2.0 * j**2 * np.log(j)
 
-    return float(_spacing_sum(values, weights))
+    return float(_spacing_sum(_sorted(values), weights))
 
 
 def _estimator_weights(n: int, coeff: float) -> np.ndarray:
@@ -204,9 +211,10 @@ def ks_critical_value(n: int) -> float:
 # sample values per block of replicates in mc_validate (256 KiB of float64)
 _MC_BLOCK = 1 << 15
 # sample size from which mc_validate spreads its replicates over one thread
-# per CPU; below it the per-row seeding of block_uniforms, which holds the
-# GIL, outweighs the numpy work that releases it (README, crossover table)
-_POOL_MIN_N = 4096
+# per CPU; below it the work that holds the GIL (seeding, per-row state
+# setting, small-array calls) outweighs the numpy work that releases it
+# (README, speed-up table)
+_POOL_MIN_N = 8192
 
 
 def _worker_count() -> int:
@@ -231,14 +239,22 @@ if hasattr(os, "register_at_fork"):
 
 def _fill_replicates(marginal, w, stream, vals, start, stop) -> None:
     """vals[start:stop] = the estimator with weights ``w`` on the samples of
-    replicates start..stop-1, in blocks of about _MC_BLOCK sample values."""
+    replicates start..stop-1, in blocks of about _MC_BLOCK sample values.
+
+    Each block runs in place: its uniforms, their quantiles and the sorted
+    samples share one buffer, the spacings take a second, and both are made
+    once per call."""
     n = len(w) + 1
     rows = max(1, _MC_BLOCK // n)
-    u = np.empty((min(rows, stop - start), n))
+    buf = np.empty((min(rows, stop - start), n))
+    gaps = np.empty((len(buf), n - 1))
     for first in range(start, stop, rows):
-        block = u[: min(rows, stop - first)]
+        last = min(first + rows, stop)
+        block = buf[: last - first]
         stream.block_uniforms(first, block)
-        vals[first : first + len(block)] = _spacing_sum(marginal.quantile(block), lambda _: w)
+        marginal.quantile(block, out=block)
+        block.sort(axis=-1)
+        _spacing_sum(block, lambda _: w, out=vals[first:last], spare=gaps[: last - first])
 
 
 @dataclass(frozen=True)
@@ -275,16 +291,21 @@ def mc_validate(
     any parallel execution layout.  Requires ``replicates >= 100``.
 
     Replicates are computed in blocks of about 2^15 sample values (at least
-    one replicate per block): one :meth:`RngStream.block_uniforms` call seeds
-    the block's substreams together and draws their uniforms, then one
-    quantile call and one row-wise spacing sum, the kernel ``empirical_cpi``
-    runs on a single sample, serve the whole block.  Memory stays bounded for
-    any ``replicates``, and every replicate value is the one a separate
-    ``empirical_cpi`` of its own substream's sample gives, bit for bit.
+    one replicate per block), in place in one block buffer: one
+    :meth:`RngStream.block_uniforms` call seeds the block's substreams
+    together and draws their uniforms into it, then one ``quantile(block,
+    out=block)`` call, one in-place row-wise sort and one row-wise spacing
+    sum, the kernel ``empirical_cpi`` runs on a single sample, serve the
+    whole block.  The block buffer and a spacings buffer are made once per
+    chunk, so memory stays bounded for any ``replicates`` (two buffers of
+    256 KiB), and every replicate value is the one a separate
+    ``empirical_cpi`` of its own substream's sample gives, bit for bit.  A
+    uniform that rounds to 1.0 (see :class:`RngStream`) makes the quantile
+    raise ``ValueError``.
 
-    From n = 4096 on, the replicates are split into one contiguous chunk per
+    From n = 8192 on, the replicates are split into one contiguous chunk per
     CPU in the process's affinity mask, each run on a thread of a pool made
-    once per process, with its own block buffer and the caller's context
+    once per process, with its own buffers and the caller's context
     (``np.errstate`` included).  The report is the same for any number of
     CPUs; an exception raised in a chunk is raised here once every chunk
     has ended.

@@ -53,9 +53,16 @@ class GosParams:
             raise ValueError("r and n must be integers")
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        for name in ("m", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # gamma works in floats, so an int past the float range counts as
+        # infinite (math.isfinite raises OverflowError on it)
+        for name in ("n", "m", "k"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.k > 0.0:
             raise ValueError(f"k must be > 0, got {self.k}")
         # gamma_j is monotone in j and gamma_n = k > 0, so any violation

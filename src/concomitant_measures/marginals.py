@@ -70,10 +70,12 @@ class MarginalFamily:
     """Shared behaviour; concrete families are frozen dataclasses below.
 
     A family defines ``support`` and the kernels ``_pdf``, ``_cdf``,
-    ``_log_cdf`` and ``_quantile`` on float arrays of any shape.  The public
-    kernels own the boundary: they take a float or an array, return a float
-    for 0-d input and an array of the input's shape otherwise, and
-    ``quantile`` requires every argument strictly inside (0, 1).
+    ``_log_cdf`` and ``_quantile`` on float arrays of any shape;
+    ``_quantile(u, out)`` writes into ``out``, which may be u, and returns
+    it.  The public kernels own the boundary: they take a float or an
+    array, return a float for 0-d input and an array of the input's shape
+    otherwise, and ``quantile`` requires every argument strictly inside
+    (0, 1).
     """
 
     def __post_init__(self):
@@ -99,12 +101,15 @@ class MarginalFamily:
         ``cdf`` rounds to 1; cdf-based integrands depend on it."""
         return _float_or_array(self._log_cdf, y)
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
+        """Q(u); with ``out``, a float64 array of u's shape (u itself
+        allowed), Q(u) is written there and ``out`` returned."""
         u = np.asarray(u, dtype=float)
-        # NaN fails the comparison too
+        # NaN fails the comparison too; nothing is written to out before it
         if not np.all((u > 0.0) & (u < 1.0)):
             raise ValueError("quantile argument must lie strictly inside (0, 1)")
-        return _float_or_array(self._quantile, u)
+        y = self._quantile(u, np.empty_like(u) if out is None else out)
+        return float(y) if out is None and u.ndim == 0 else y
 
     # CE and CE2 are closed forms in every family
     def ce_error_estimate(self) -> float:
@@ -150,8 +155,11 @@ class Exponential(MarginalFamily):
     def _cdf(self, y):
         return np.where(y >= 0.0, -np.expm1(-y / self.theta), 0.0)
 
-    def _quantile(self, u):
-        return -self.theta * np.log1p(-u)
+    def _quantile(self, u, out):
+        np.negative(u, out=out)
+        np.log1p(out, out=out)
+        out *= -self.theta
+        return out
 
     def _log_cdf(self, y):
         t = np.maximum(y, 0.0) / self.theta
@@ -190,8 +198,12 @@ class Logistic(MarginalFamily):
         e = np.exp(-np.abs(y))  # stable on both tails
         return np.where(y >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def _quantile(self, u):
-        return np.log(u) - np.log1p(-u)
+    def _quantile(self, u, out):
+        t = np.negative(u, out=np.empty_like(u))
+        np.log1p(t, out=t)
+        np.log(u, out=out)
+        out -= t
+        return out
 
     def _log_cdf(self, y):
         # -log(1 + e^(-y)), stable on both tails
@@ -226,8 +238,13 @@ class Rayleigh(MarginalFamily):
     def _cdf(self, y):
         return np.where(y >= 0.0, -np.expm1(-(y**2) / (2.0 * self.sigma**2)), 0.0)
 
-    def _quantile(self, u):
-        return self.sigma * np.sqrt(-2.0 * np.log1p(-u))
+    def _quantile(self, u, out):
+        np.negative(u, out=out)
+        np.log1p(out, out=out)
+        out *= -2.0
+        np.sqrt(out, out=out)
+        out *= self.sigma
+        return out
 
     def _log_cdf(self, y):
         t = np.maximum(y, 0.0) ** 2 / (2.0 * self.sigma**2)
@@ -275,8 +292,15 @@ class GeneralizedExponential(MarginalFamily):
         base = -np.expm1(-self.theta * np.maximum(y, 0.0))
         return np.where(y > 0.0, base**self.lam, 0.0)
 
-    def _quantile(self, u):
-        return -np.log1p(-(u ** (1.0 / self.lam))) / self.theta
+    def _quantile(self, u, out):
+        if out is not u:
+            out[...] = u
+        out **= 1.0 / self.lam  # as u ** (1 / lam), which may take a shortcut such as sqrt
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        out /= self.theta
+        return out
 
     def _log_cdf(self, y):
         t = self.theta * np.maximum(y, 0.0)
@@ -315,8 +339,8 @@ class Uniform(MarginalFamily):
     def _cdf(self, y):
         return np.clip(y / self.theta, 0.0, 1.0)
 
-    def _quantile(self, u):
-        return self.theta * u
+    def _quantile(self, u, out):
+        return np.multiply(u, self.theta, out=out)
 
     def _log_cdf(self, y):
         return np.where(y > 0.0, _safe_log(np.minimum(y / self.theta, 1.0)), -np.inf)
@@ -365,8 +389,12 @@ class InverseWeibull(MarginalFamily):
         yy = np.where(y > 0.0, y, 1.0)
         return np.where(y > 0.0, np.exp(-((self.theta / yy) ** self.beta)), 0.0)
 
-    def _quantile(self, u):
-        return self.theta * (-np.log(u)) ** (-1.0 / self.beta)
+    def _quantile(self, u, out):
+        np.log(u, out=out)
+        np.negative(out, out=out)
+        out **= -1.0 / self.beta
+        out *= self.theta
+        return out
 
     def _log_cdf(self, y):
         yy = np.where(y > 0.0, y, 1.0)

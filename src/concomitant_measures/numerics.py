@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -299,7 +300,7 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # below this sample size block_uniforms computes a block's PCG64 outputs
 # with array arithmetic, and from it on sets one bit generator per row
 # (README, reproducibility notes)
-_JUMP_MAX_N = 180
+_JUMP_MAX_N = 165
 
 
 def _jump_table(steps: int) -> tuple[tuple[int, int], ...]:
@@ -420,6 +421,19 @@ def _entropy_words(x: int) -> int:
     return max(1, -(-x.bit_length() // 32))
 
 
+_ROW_GENERATORS = threading.local()
+
+
+def _row_generator() -> np.random.Generator:
+    """This thread's PCG64 generator for the per-row path of
+    :meth:`RngStream.block_uniforms`, made at its first use: every row sets
+    the whole state, so one generator per thread serves every call."""
+    gen = getattr(_ROW_GENERATORS, "gen", None)
+    if gen is None:
+        gen = _ROW_GENERATORS.gen = np.random.Generator(np.random.PCG64(0))
+    return gen
+
+
 class RngStream:
     """A deterministic uniform(0,1) stream identified by (seed, stream_id).
 
@@ -432,10 +446,14 @@ class RngStream:
     and from it on row by row; it leaves the stream unchanged, and any
     number of threads may call it on one instance at once.
 
-    Each value is (k + 1/2) 2^-53, with k the top 53 bits of one 64-bit PCG64
-    output.  These are the values ``Generator.integers(0, 2**53)`` would give:
-    Lemire's bounded-integer method never rejects a draw for a range of
-    exactly 2^53 and returns the top 53 bits (Lemire 2019, ACM TOMACS 29:3).
+    Each value is (k + 1/2) 2^-53 rounded to float64, with k the top 53 bits
+    of one 64-bit PCG64 output.  These k are the values
+    ``Generator.integers(0, 2**53)`` would give: Lemire's bounded-integer
+    method never rejects a draw for a range of exactly 2^53 and returns the
+    top 53 bits (Lemire 2019, ACM TOMACS 29:3).  From k = 2^52 on, k + 1/2
+    is a tie that rounds to even, so the values lie in [2^-54, 1], not
+    strictly inside (0, 1): k = 2^53 - 1 gives exactly 1.0, once in 2^53
+    draws.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _key: tuple[int, ...] | None = None):
@@ -445,7 +463,7 @@ class RngStream:
         self._bits = np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self._key))
 
     def uniforms(self, size: int) -> np.ndarray:
-        """Next ``size`` values as an array, each strictly inside (0, 1)."""
+        """Next ``size`` values as an array, each in [2^-54, 1]."""
         return ((self._bits.random_raw(size) >> 11) + 0.5) * 2.0**-53
 
     def substream(self, index: int) -> "RngStream":
@@ -489,42 +507,45 @@ class RngStream:
         The rows' PCG64 states are seeded together (:meth:`_seeds`).  Below
         a sample size of ``_JUMP_MAX_N`` the whole block's outputs are then
         computed with numpy array arithmetic on the 128-bit LCG states
-        (:func:`_pcg64_block`); from it on, each row sets its state on one
-        bit generator of this call's own and draws from it.  Either way the
-        raw words go into ``out``'s own memory and are converted there, and
-        concurrent calls share nothing they write.  Indices of 2^32 and above
-        take two entropy words and go through :meth:`substream`.
+        (:func:`_pcg64_block`) in ``out``'s own memory and scaled there to
+        k 2^-53; from it on, each row sets its state on its thread's
+        generator (:func:`_row_generator`), whose ``random`` writes k 2^-53
+        straight into the row.  One block-wide addition of 2^-54 then gives
+        (k + 1/2) 2^-53: both round the same exact value (2k + 1) 2^-54.
+        Concurrent calls share nothing they write.  Indices of 2^32 and
+        above take two entropy words and go through :meth:`substream`.
         """
         rows, n = out.shape
+        if not out.size:
+            return
         work = out if out.flags.c_contiguous else np.empty((rows, n))
-        raw = work.view(np.uint64)
         fast = max(0, min(rows, 2**32 - start))
-        if fast and n:
-            words = self._seeds(start, fast)
-            if n < _JUMP_MAX_N:
-                _pcg64_block(words, raw[:fast])
-            else:
-                # pcg64_set_seed in Python integers: on the one-row blocks of
-                # large n, numpy calls on one-element arrays cost more
-                bits = np.random.PCG64(0)
-                for j, (s1, s0, q1, q0) in enumerate(zip(*words.tolist())):
-                    inc = ((q1 << 64 | q0) << 1 | 1) & _MASK128
-                    bits.state = {
-                        "bit_generator": "PCG64",
-                        "state": {"state": ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
-                        "has_uint32": 0,
-                        "uinteger": 0,
-                    }
-                    raw[j] = bits.random_raw(n)
+        if fast and n < _JUMP_MAX_N:
+            head = work[:fast]
+            raw = head.view(np.uint64)
+            _pcg64_block(self._seeds(start, fast), raw)
+            # Generator.random's (word >> 11) 2^-53, in place: a 1-d copyto
+            # casts element by element, where a 2-d one would copy the block
+            flat = raw.reshape(-1)
+            flat >>= 11
+            np.copyto(head.reshape(-1), flat, casting="unsafe")
+            head *= 2.0**-53
+        elif fast:
+            gen = _row_generator()
+            # pcg64_set_seed in Python integers: on the one-row blocks of
+            # large n, numpy calls on one-element arrays cost more
+            for row, (s1, s0, q1, q0) in zip(work, zip(*self._seeds(start, fast).tolist())):
+                inc = ((q1 << 64 | q0) << 1 | 1) & _MASK128
+                gen.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": ((inc + (s1 << 64 | s0)) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                gen.random(out=row)
         for j in range(fast, rows):
-            raw[j] = self.substream(start + j)._bits.random_raw(n)
-        # the float64 operations of uniforms, in place: a 1-d copyto casts
-        # element by element, where a 2-d one would copy the block first
-        flat = raw.reshape(-1)
-        flat >>= 11
-        np.copyto(work.reshape(-1), flat, casting="unsafe")
-        work += 0.5
-        work *= 2.0**-53
+            np.random.Generator(self.substream(start + j)._bits).random(out=work[j])
+        work += 2.0**-54
         if work is not out:
             out[...] = work
 

@@ -5,6 +5,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,20 @@ class TestMcValidate:
         assert math.isfinite(report.empirical_mean)
         assert report.theoretical_mean is not None  # uniform spacing law covers any C*
 
+    def test_blocks_run_in_two_buffers(self):
+        # n = 200, R = 1000 spans 7 blocks of 163 rows.  The block buffer and
+        # the spacings buffer take 2 x 256 KiB; a block-sized temporary more
+        # (a quantile output, a sorted copy, the raw words) would pass 768 KiB
+        args = (Exponential(1.3), record_value(2), 0.5, 200, 1000)
+        mc_validate(*args, RngStream(1))  # C* and the stream's seeding constants
+        tracemalloc.start()
+        try:
+            mc_validate(*args, RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _MC_BLOCK * 8, peak
+
 
 # one marginal per family, each with its (GOS, alpha)
 MC_FAMILIES = [
@@ -320,13 +335,13 @@ MC_CASES = [
     mc_case(200, 400, _MC_BLOCK),       # 163 rows: 2 blocks and 74 rows
     # the last sample size of block_uniforms' array-arithmetic path and the
     # first of its per-row path
-    mc_case(_JUMP_MAX_N - 1, 400, _MC_BLOCK),  # 183 rows: 2 blocks and 34 rows
-    mc_case(_JUMP_MAX_N, 400, _MC_BLOCK),      # 182 rows: 2 blocks and 36 rows
+    mc_case(_JUMP_MAX_N - 1, 400, _MC_BLOCK),  # 199 rows: 2 blocks and 2 rows
+    mc_case(_JUMP_MAX_N, 400, _MC_BLOCK),      # 198 rows: 2 blocks and 4 rows
     # one replicate per block
     *(mc_case(_MC_BLOCK // 2 + 1, 100, _MC_BLOCK, workers) for workers in (None, 1, 2, 3)),
     *(mc_case(_MC_BLOCK + 7, 100, _MC_BLOCK, workers) for workers in (None, 1, 2, 3)),
-    mc_case(_POOL_MIN_N - 1, 100, _MC_BLOCK, 3),  # 8 rows per block, one chunk
-    mc_case(_POOL_MIN_N, 100, _MC_BLOCK, 3),      # 8 rows per block, 3 chunks
+    mc_case(_POOL_MIN_N - 1, 100, _MC_BLOCK, 3),  # 4 rows per block, one chunk
+    mc_case(_POOL_MIN_N, 100, _MC_BLOCK, 3),      # 4 rows per block, 3 chunks
 ]
 
 
@@ -380,7 +395,7 @@ class _ChunkError(Exception):
 class _FailingQuantile(Exponential):
     """An exponential marginal whose quantile raises, naming its thread."""
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         raise _ChunkError(threading.current_thread().name)
 
 

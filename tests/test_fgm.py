@@ -330,6 +330,14 @@ class TestCStar:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             GosParams(1, 3, m, k)
 
+    @pytest.mark.parametrize("r, n, m, k, name", [(1, 10**400, 0.0, 1.0, "n"), (1, 3, 10**400, 1.0, "m"),
+                                                  (1, 3, -(10**400), 1.0, "m"), (1, 3, 0.0, 10**400, "k")],
+                             ids=["n", "m", "-m", "k"])
+    def test_ints_past_the_float_range_rejected(self, r, n, m, k, name):
+        # float(10**400) raises OverflowError; GosParams raises ValueError
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            GosParams(r, n, m, k)
+
 
 class TestFgmModel:
     def test_alpha_bound(self):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from concomitant_measures.marginals import (
     Exponential,
@@ -187,6 +188,29 @@ class TestKernelBoundary:
     def test_quantile_rejects_any_argument_outside_the_open_unit_interval(self, m, u):
         with pytest.raises(ValueError, match="strictly inside"):
             m.quantile(u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=9),
+                      elements=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    def test_quantile_into_out_is_bitwise_the_plain_quantile(self, m, u):
+        expected = m.quantile(u)
+        other = np.full_like(u, np.nan)
+        assert m.quantile(u, out=other) is other
+        in_place = u.copy()
+        assert m.quantile(in_place, out=in_place) is in_place
+        for y in (other, in_place):
+            assert np.array_equal(y.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan, math.inf])
+    def test_quantile_raises_before_writing_out(self, m, bad):
+        u = np.array([[0.25, 0.5], [bad, 0.75]])
+        before = u.copy()
+        other = np.full_like(u, 7.0)
+        for out in (other, u):
+            with pytest.raises(ValueError, match="strictly inside"):
+                m.quantile(u, out=out)
+        assert np.array_equal(other, np.full_like(u, 7.0))
+        assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
 
 
 class TestFunctionalValues:

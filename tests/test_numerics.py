@@ -494,6 +494,17 @@ class TestBlockUniforms:
             RngStream(1).block_uniforms(start, np.empty((rows, n)))
         assert len(calls) == (3 if n < numerics._JUMP_MAX_N else 0)
 
+    def test_adding_half_an_ulp_rounds_as_uniforms(self):
+        # block_uniforms adds 2^-54 to k 2^-53 where uniforms scales k + 1/2:
+        # both round (2k + 1) 2^-54, ties to even from k = 2^52 on, and
+        # k = 2^53 - 1 gives 1.0 either way
+        k = np.concatenate([np.arange(5), 2**52 + np.arange(-4, 5), 2**53 - np.arange(1, 9),
+                            np.random.default_rng(3).integers(0, 2**53, 10_000)]).astype(np.uint64)
+        added = k.astype(float) * 2.0**-53
+        added += 2.0**-54
+        assert _same_bits(added, (k + 0.5) * 2.0**-53)
+        assert added[np.argmax(k)] == 1.0
+
     @pytest.mark.parametrize("n", [20, 4000])
     def test_non_contiguous_out(self, n):
         a, b = RngStream(9, 2), GeneratorStream(9, 2)
@@ -503,13 +514,15 @@ class TestBlockUniforms:
         assert _same_bits(np.ascontiguousarray(out), expected)
 
     def test_no_floating_point_or_overflow_warnings(self):
-        # uint64 arithmetic wraps silently on arrays, not on numpy scalars
-        out = np.empty((300, 20))
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            RngStream(2**100 - 3, 5).block_uniforms(2**32 - 150, out)
-            report = mc_validate(Exponential(1.0), record_value(2), 0.5, 20, 200, RngStream(4))
-        expected = np.array([GeneratorStream(2**100 - 3, 5).substream(2**32 - 150 + j).uniforms(20)
-                             for j in range(300)])
-        assert _same_bits(out, expected)
-        assert math.isfinite(report.empirical_mean)
+        # uint64 arithmetic wraps silently on arrays, not on numpy scalars;
+        # the per-row path adds 2^-54 in floats
+        for n in (20, numerics._JUMP_MAX_N):
+            out = np.empty((300, n))
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                RngStream(2**100 - 3, 5).block_uniforms(2**32 - 150, out)
+                report = mc_validate(Exponential(1.0), record_value(2), 0.5, n, 200, RngStream(4))
+            expected = np.array([GeneratorStream(2**100 - 3, 5).substream(2**32 - 150 + j).uniforms(n)
+                                 for j in range(300)])
+            assert _same_bits(out, expected)
+            assert math.isfinite(report.empirical_mean)
