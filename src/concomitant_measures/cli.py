@@ -12,8 +12,7 @@ stdout, diagnostics on stderr only:
     simulate  -- Monte Carlo validation of the spacings estimator
 
 Floats are printed with 15 significant digits; --paper-precision rounds to 3
-decimals for diffing against the reference tables.  The seed falls back to
-the CM_SEED environment variable, then to 0.
+decimals for diffing against the reference tables.  The seed defaults to 0.
 
 Exit codes: 0 success, 1 domain error, out-of-range result or unallocatable
 size, 2 spec-string parse error, 3 numerical failure (the quadrature could not
@@ -30,7 +29,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -103,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--n", type=int, required=True, help="sample size per replicate")
     s.add_argument("--replicates", type=int, required=True, help="at least 100")
-    s.add_argument("--seed", type=int, default=None, help="defaults to $CM_SEED, then 0")
+    s.add_argument("--seed", type=int, default=0, help="a non-negative integer; default 0")
     add_common(s)
     return parser
 
@@ -171,10 +169,8 @@ def _cmd_table(args) -> list[dict]:
 
 
 def _cmd_simulate(args) -> list[dict]:
-    marginal = parse_marginal(args.marginal)
-    gos = parse_gos(args.gos)
-    seed = args.seed if args.seed is not None else int(os.environ.get("CM_SEED", "0"))
-    report = mc_validate(marginal, gos, args.alpha, args.n, args.replicates, RngStream(seed))
+    report = mc_validate(parse_marginal(args.marginal), parse_gos(args.gos), args.alpha, args.n,
+                         args.replicates, RngStream(args.seed))
     return [{"command": "simulate", **vars(report)}]
 
 

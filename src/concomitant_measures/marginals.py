@@ -60,6 +60,12 @@ def _safe_log(x):
     return np.log(np.maximum(x, 1e-300))
 
 
+def _log_product(a, b):
+    """log(a b) for a, b > 0, as log a + log b where a b is not a normal double."""
+    p = a * b
+    return math.log(p) if 2.0**-1022 <= p < math.inf else math.log(a) + math.log(b)
+
+
 def _log1mexp(t):
     """log(1 - e^(-t)) for t >= 0 with full relative precision as t -> inf
     (the deep cdf tail); ``_safe_log`` floors it at t = 0."""
@@ -69,13 +75,13 @@ def _log1mexp(t):
 class MarginalFamily:
     """Shared behaviour; concrete families are frozen dataclasses below.
 
-    A family defines ``support`` and the kernels ``_pdf``, ``_cdf``,
-    ``_log_cdf`` and ``_quantile`` on float arrays of any shape;
-    ``_quantile(u, out)`` writes into ``out``, which may be u, and returns
-    it.  The public kernels own the boundary: they take a float or an
-    array, return a float for 0-d input and an array of the input's shape
-    otherwise, and ``quantile`` requires every argument strictly inside
-    (0, 1).
+    A family defines the kernels ``_pdf``, ``_cdf``, ``_log_cdf`` and
+    ``_quantile`` on float arrays of any shape, and overrides ``support``
+    where it is not (0, inf); ``_quantile(u, out)`` writes into ``out``,
+    which may be u, and returns it.  The public kernels own the boundary:
+    they take a float or an array, return a float for 0-d input and an
+    array of the input's shape otherwise, and ``quantile`` requires every
+    argument strictly inside (0, 1).
     """
 
     def __post_init__(self):
@@ -88,7 +94,7 @@ class MarginalFamily:
                 raise ValueError(f"{f.name} must be > 0, got {value}")
 
     def support(self) -> tuple[float, float]:
-        raise NotImplementedError
+        return (0.0, math.inf)
 
     def pdf(self, y):
         return _float_or_array(self._pdf, y)
@@ -145,9 +151,6 @@ class Exponential(MarginalFamily):
     """Exponential with scale theta: F(y) = 1 - exp(-y/theta)."""
 
     theta: float = 1.0
-
-    def support(self):
-        return (0.0, math.inf)
 
     def _pdf(self, y):
         return np.where(y >= 0.0, np.exp(-y / self.theta) / self.theta, 0.0)
@@ -228,9 +231,6 @@ class Rayleigh(MarginalFamily):
 
     sigma: float = 1.0
 
-    def support(self):
-        return (0.0, math.inf)
-
     def _pdf(self, y):
         v = self.sigma**2
         return np.where(y >= 0.0, y / v * np.exp(-(y**2) / (2.0 * v)), 0.0)
@@ -279,9 +279,6 @@ class GeneralizedExponential(MarginalFamily):
     theta: float = 1.0
     lam: float = 1.0
 
-    def support(self):
-        return (0.0, math.inf)
-
     def _pdf(self, y):
         t = self.theta * np.maximum(y, 0.0)
         base = np.where(t > 0.0, -np.expm1(-t), 1.0)  # dummy 1 where masked out below
@@ -308,11 +305,11 @@ class GeneralizedExponential(MarginalFamily):
 
     def shannon_entropy(self):
         B = digamma(self.lam + 1.0) + _EULER
-        return -math.log(self.lam * self.theta) + B + (self.lam - 1.0) / self.lam
+        return -_log_product(self.lam, self.theta) + B + (self.lam - 1.0) / self.lam
 
     def phi_f(self):
         return (
-            0.5 * math.log(self.lam * self.theta)
+            0.5 * _log_product(self.lam, self.theta)
             - (self.lam - 1.0) / (4.0 * self.lam)
             - 0.5 * (digamma(2.0 * self.lam + 1.0) + _EULER)
         )
@@ -370,9 +367,6 @@ class InverseWeibull(MarginalFamily):
     theta: float = 1.0
     beta: float = 2.0
 
-    def support(self):
-        return (0.0, math.inf)
-
     def _pdf(self, y):
         # NaN off the support fails the tail test below, so one test gives 0
         # there and where the tail underflows (yy^(-beta-1) may overflow
@@ -386,8 +380,7 @@ class InverseWeibull(MarginalFamily):
         return np.where(tail > 0.0, val, 0.0)
 
     def _cdf(self, y):
-        yy = np.where(y > 0.0, y, 1.0)
-        return np.where(y > 0.0, np.exp(-((self.theta / yy) ** self.beta)), 0.0)
+        return np.exp(self._log_cdf(y))
 
     def _quantile(self, u, out):
         np.log(u, out=out)

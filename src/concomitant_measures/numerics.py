@@ -457,8 +457,10 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _key: tuple[int, ...] | None = None):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed, self.stream_id = int(seed), int(stream_id)
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value}")
         self._key = _key if _key is not None else (self.stream_id,)
         self._bits = np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self._key))
 

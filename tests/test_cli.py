@@ -1,20 +1,25 @@
 """Command-line interface: formats, values, determinism, error handling."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concomitant_measures import cli, empirical
 from concomitant_measures.cli import TABLE1_REFERENCE, TABLE2_REFERENCE, main
+from concomitant_measures.marginals import MARGINAL_FAMILIES
 from concomitant_measures.numerics import MeasureResult
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -280,6 +285,22 @@ class TestMeasure:
         row = parse_csv(out)[0]
         assert (row["value"], row["method"]) == (value, "closed_form")
 
+    @pytest.mark.parametrize("theta, lam", [("1e300", "1e300"), ("1e200", "1e150"), ("1e-300", "1e-300")])
+    def test_genexp_inaccuracy_where_lam_theta_leaves_the_double_range(self, capsys, theta, lam):
+        # reference: -Int_0^1 (1 + c (1 - 2u)) log f(Q(u)) du with
+        # c = alpha C* = 0.25, f(Q(u)) = lam theta (1 - u^(1/lam)) u^(1 - 1/lam)
+        mp = pytest.importorskip("mpmath")
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", f"genexp:theta={theta},lam={lam}",
+            "--gos", "os:r=1,n=3", "--alpha", "0.5", "--measure", "inaccuracy",
+        )
+        assert (code, err) == (0, "")
+        with mp.workdps(40):
+            L, T = mp.mpf(float(lam)), mp.mpf(float(theta))
+            ref = -mp.quad(lambda u: (1 + (1 - 2 * u) / 4) * (
+                mp.log(L * T) + mp.log(-mp.expm1(mp.log(u) / L)) + (1 - 1 / L) * mp.log(u)), [0, 0.5, 1])
+            assert abs(float(parse_csv(out)[0]["value"]) - ref) <= 1e-12 * abs(ref)
+
     def test_value_that_prints_out_of_range_exit_1(self, capsys, monkeypatch):
         # the largest double rounds up to inf at the 15 printed digits
         def huge(mdl, p):
@@ -380,17 +401,24 @@ class TestSimulate:
         assert float(row["empirical_mean"]) == pytest.approx(0.285, abs=0.03)
         assert row["theoretical_mean"] != ""
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
+    def test_seed_environment_variable_is_ignored(self, capsys, monkeypatch):
+        # --seed is the one seed knob: a CM_SEED left in the environment
+        # changes nothing, and the default is seed 0
         argv = ["simulate", "--marginal", "uniform:theta=1", "--gos", "record:r=2",
                 "--alpha", "-1", "--n", "10", "--replicates", "150"]
         monkeypatch.setenv("CM_SEED", "11")
-        _, out_env, _ = run_cli(capsys, *argv)
+        env_run = run_cli(capsys, *argv)
         monkeypatch.delenv("CM_SEED")
-        _, out_default, _ = run_cli(capsys, *argv)
-        _, out_explicit, _ = run_cli(capsys, *argv, "--seed", "11")
-        assert parse_csv(out_env)[0]["seed"] == "11"
-        assert parse_csv(out_env) == parse_csv(out_explicit)
-        assert parse_csv(out_default)[0]["seed"] == "0"
+        assert env_run == run_cli(capsys, *argv, "--seed", "0")
+        assert env_run[0] == 0
+        assert parse_csv(env_run[1])[0]["seed"] == "0"
+
+    def test_negative_seed_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--marginal", "exponential:theta=1", "--gos", "record:r=2",
+            "--alpha", "0.5", "--n", "20", "--replicates", "100", "--seed", "-1",
+        )
+        assert (code, out, err) == (1, "", "cmeasure: seed must be a non-negative integer, got -1\n")
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 7.28 PiB for an array with shape (1000000000000000,) "
@@ -511,3 +539,53 @@ def test_uniform_near_float_max_prints_finite_cpi(capsys):
     assert record["method"] == "closed_form"
     assert math.isfinite(record["value"])
     assert record["value"] == pytest.approx(1e308 * (1.35 / 4.0 - 0.35 / 9.0), rel=1e-14)
+
+
+@st.composite
+def _number(draw):
+    # a spec value token: mostly a positive double from the smallest
+    # subnormal to near the largest, else its negative, a signed zero or a
+    # non-finite token
+    x = draw(st.floats(5e-324, 1.7e308))
+    return draw(st.sampled_from([repr(x)] * 12 + [repr(-x), "0", "-0", "inf", "-inf", "nan"]))
+
+
+@st.composite
+def _measure_argv(draw):
+    name = draw(st.sampled_from(sorted(MARGINAL_FAMILIES)))
+    params = ",".join(f"{f.name}={draw(_number())}" for f in dataclasses.fields(MARGINAL_FAMILIES[name]))
+    marginal = f"{name}:{params}" if params else name
+    r = draw(st.one_of(st.integers(1, 100), st.integers(1, 2**70)))
+    n = r + draw(st.one_of(st.integers(-2, 100), st.integers(0, 2**70)))
+    m = draw(st.one_of(st.just(-1.0), st.floats(-1e3, -1.0), st.floats(-1.0, 1e3)))
+    k = 10.0 ** draw(st.floats(-300, 300))
+    gos = draw(st.sampled_from([f"os:r={r},n={n}", f"record:r={r}", f"r={r},n={n},m={m!r},k={k!r}"]))
+    alpha = draw(st.sampled_from([draw(st.floats(-1.5, 1.5))] * 9 + [math.nan]))
+    return ["measure", "--marginal", marginal, "--gos", gos, f"--alpha={alpha!r}",
+            "--measure", draw(st.sampled_from(cli.MEASURE_NAMES))]
+
+
+@given(argv=_measure_argv())
+@settings(max_examples=60, deadline=None)
+def test_every_input_ends_in_finite_output_or_one_error_line(argv):
+    # a console run shows warnings on stderr, so here they count as failures
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert time.perf_counter() - start < 10.0
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        for cell in (cell for row in csv.reader(io.StringIO(out)) for cell in row):
+            try:
+                value = float(cell)  # reads nan and inf too
+            except ValueError:
+                continue  # a name, a spec, a bounds label or an empty field
+            assert math.isfinite(value)
+    else:
+        assert code in (1, 2, 3)
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err

@@ -253,6 +253,21 @@ class TestFunctionalValues:
             2.0 * (math.pi**2 / 6.0 - 1.25) / 2.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("theta, lam", [(1e300, 1e300), (1e200, 1e150), (1e-300, 1e-300)])
+    def test_genexp_where_lam_theta_leaves_the_double_range(self, theta, lam):
+        # the measure is finite although lam * theta overflows or underflows;
+        # the reference integrates log f(Q(u)) in u, with
+        # f(Q(u)) = lam theta (1 - u^(1/lam)) u^(1 - 1/lam)
+        mp = pytest.importorskip("mpmath")
+        g = GeneralizedExponential(theta, lam)
+        with mp.workdps(40):
+            L, T = mp.mpf(lam), mp.mpf(theta)
+            log_f = lambda u: mp.log(L * T) + mp.log(-mp.expm1(mp.log(u) / L)) + (1 - 1 / L) * mp.log(u)  # noqa: E731
+            H = -mp.quad(log_f, [0, 0.5, 1])
+            phi = mp.quad(lambda u: u * log_f(u), [0, 0.5, 1])
+            assert abs(g.shannon_entropy() - H) <= 1e-12 * abs(H)
+            assert abs(g.phi_f() - phi) <= 1e-12 * abs(phi)
+
     def test_ce_nonnegative(self):
         for m in ALL_FAMILIES:
             assert m.cumulative_entropy() >= 0.0

@@ -338,6 +338,14 @@ class TestRngStream:
         u = RngStream(seed=0).uniforms(1_000_000)
         assert abs(u.mean() - 0.5) < 0.002
 
+    @pytest.mark.parametrize("args, message", [
+        ((-1,), "seed must be a non-negative integer, got -1"),
+        ((1, -2), "stream_id must be a non-negative integer, got -2"),
+    ])
+    def test_negative_seed_names_its_input(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RngStream(*args)
+
     def test_substream_is_order_independent(self):
         s = RngStream(seed=99)
         late = s.substream(7).uniforms(4)
