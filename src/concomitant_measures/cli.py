@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -34,8 +35,8 @@ import sys
 import numpy as np
 
 from .cpi import check_cpi_bounds, cpi_gos, reversed_cpi
-from .empirical import mc_validate, moments_mtbged, moments_mtbud
-from .fgm import FgmModel, format_gos, parse_gos
+from .empirical import _exponential_moments, _uniform_moments, mc_validate
+from .fgm import FgmModel, c_star, format_gos, parse_gos, record_value
 from .inaccuracy import inaccuracy_gos, reversed_inaccuracy
 from .marginals import SpecFormatError, format_marginal, parse_marginal
 from .numerics import MeasureResult, QuadratureError, RngStream
@@ -106,25 +107,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(name: str, value, paper_precision: bool):
-    if isinstance(value, float):
-        if paper_precision:
-            value = round(value, 3)
-        value = float(f"{value:.15g}")
-        if not math.isfinite(value):
-            raise ArithmeticError(f"{name} is out of floating-point range")
-    return value
-
-
-def _emit(records: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(records, indent=2) + "\n")
-        return
-    # every command's rows share one layout: its first row's keys
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(records[0])
+def _render(records: list[dict], fmt: str, paper_precision: bool) -> str:
+    """The records as CSV or JSON text, each float formatted once to 15
+    significant digits (after --paper-precision's rounding): CSV prints the
+    text, JSON the float it reads back as."""
     for rec in records:
-        writer.writerow(["" if v is None else (f"{v:.15g}" if isinstance(v, float) else v) for v in rec.values()])
+        for key, value in rec.items():
+            if isinstance(value, float):
+                text = f"{round(value, 3) if paper_precision else value:.15g}"
+                if not math.isfinite(number := float(text)):
+                    raise ArithmeticError(f"{key} is out of floating-point range")
+                rec[key] = number if fmt == "json" else text
+    if fmt == "json":
+        return json.dumps(records, indent=2) + "\n"
+    # every command's rows share one layout: its first row's keys
+    writer = csv.writer(out := io.StringIO(), lineterminator="\n")
+    writer.writerow(records[0])
+    writer.writerows(rec.values() for rec in records)  # None prints as ""
+    return out.getvalue()
 
 
 def _cmd_measure(args) -> list[dict]:
@@ -151,20 +151,28 @@ def _cmd_measure(args) -> list[dict]:
 
 def _cmd_table(args) -> list[dict]:
     if args.table == 1:
-        cells = [(n, theta2, alpha, ref, moments_mtbged(n, theta2, alpha, _TABLE_R))
-                 for (n, theta2, alpha), ref in TABLE1_REFERENCE.items()]
+        cells = TABLE1_REFERENCE
+        kernel = _exponential_moments
     elif args.table == 2:
-        cells = [(n, 1.0, alpha, ref, moments_mtbud(n, alpha, _TABLE_R))
-                 for (n, alpha), ref in TABLE2_REFERENCE.items()]
+        cells = {(n, 1.0, alpha): ref for (n, alpha), ref in TABLE2_REFERENCE.items()}
+        kernel = lambda n, theta2, coeff: _uniform_moments(n, coeff, 1.0)  # noqa: E731
     else:
         raise ValueError(f"unknown table id {args.table}; expected 1 or 2")
+    # one kernel call per n, on columns of theta2 and alpha C*: each row holds
+    # the bits of moments_mtbged / moments_mtbud at its cell
+    moments = {}
+    for n in dict.fromkeys(n for n, _, _ in cells):
+        keys = [key for key in cells if key[0] == n]
+        theta2, alpha = np.array([key[1:] for key in keys]).T[..., None]
+        coeff = alpha * c_star(record_value(_TABLE_R))
+        moments.update(zip(keys, zip(*(m.tolist() for m in kernel(n, theta2, coeff)))))
     return [
         {
             "command": "table", "table": args.table, "n": n, "theta2": theta2, "alpha": alpha,
             "r": _TABLE_R, "statistic": stat, "computed": computed, "reference": reference,
         }
-        for n, theta2, alpha, refs, moments in cells
-        for stat, computed, reference in zip(("mean", "variance"), moments, refs)
+        for (n, theta2, alpha), refs in cells.items()
+        for stat, computed, reference in zip(("mean", "variance"), moments[n, theta2, alpha], refs)
     ]
 
 
@@ -183,7 +191,7 @@ def main(argv=None) -> int:
         # overflow shows as an error or a non-finite result, not as warnings
         with np.errstate(all="ignore"):
             records = _COMMANDS[args.command](args)
-        records = [{k: _fmt(k, v, args.paper_precision) for k, v in rec.items()} for rec in records]
+        text = _render(records, args.format, args.paper_precision)
     except SpecFormatError as exc:
         print(f"cmeasure: spec error: {exc}", file=sys.stderr)
         return 2
@@ -199,7 +207,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"cmeasure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    _emit(records, args.format)
+    sys.stdout.write(text)
     return 0
 
 

@@ -112,33 +112,35 @@ def empirical_cumulative_entropy_max2(values) -> float:
     return float(_spacing_sum(_sorted(values), weights))
 
 
-def _estimator_weights(n: int, coeff: float) -> np.ndarray:
+def _estimator_weights(n: int, coeff) -> np.ndarray:
     """Weights (j/n)(-log(j/n)) [1 + coeff (1 - j/n)] of the n - 1 spacings of
-    the CPI estimator; coeff = alpha C*, and coeff = 0 gives the CE estimator."""
+    the CPI estimator, along the last axis; coeff = alpha C* (a float, or an
+    array of shape (..., 1)), and coeff = 0 gives the CE estimator."""
     if n < 2:
         raise ValueError("need n >= 2")
     j = np.arange(1, n) / n
     return j * (-np.log(j)) * (1.0 + coeff * (1.0 - j))
 
 
-def _exponential_spacing_means(n: int, rate: float, coeff: float) -> np.ndarray:
+def _exponential_spacing_means(n: int, rate, coeff) -> np.ndarray:
     # weight times mean of spacing j, which for an exponential(rate) sample is
     # an independent Exp with mean 1/(rate (n-j))
     return _estimator_weights(n, coeff) / (rate * np.arange(n - 1, 0, -1))
 
 
-def _exponential_moments(n: int, rate: float, coeff: float) -> tuple[float, float]:
+# rate, coeff: floats or (..., 1) arrays; each row sums to its scalar call's bits
+def _exponential_moments(n: int, rate, coeff):
     mu = _exponential_spacing_means(n, rate, coeff)
-    return float(mu.sum()), float((mu**2).sum())
+    return mu.sum(axis=-1), (mu**2).sum(axis=-1)
 
 
-def _uniform_moments(n: int, coeff: float, scale: float) -> tuple[float, float]:
+def _uniform_moments(n: int, coeff, scale: float):
     # spacings of a uniform(0, scale) sample ~ scale * Beta(1, n), treated as
     # independent for the variance (see module docstring)
     w = _estimator_weights(n, coeff)
-    mean = scale * float(w.sum()) / (n + 1)
-    var = scale**2 * n / ((n + 1) ** 2 * (n + 2)) * float((w**2).sum())
-    return mean, var
+    # scale**2 raises OverflowError before the mean can overflow with a warning
+    var = scale**2 * n / ((n + 1) ** 2 * (n + 2)) * (w**2).sum(axis=-1)
+    return scale * w.sum(axis=-1) / (n + 1), var
 
 
 def moments_mtbged(n: int, theta2: float, alpha: float, r: int) -> tuple[float, float]:
@@ -164,11 +166,11 @@ def theoretical_moments(
     """
     coeff = alpha * c_star(p)
     if isinstance(marginal, Exponential):
-        return _exponential_moments(n, 1.0 / marginal.theta, coeff)
+        return tuple(map(float, _exponential_moments(n, 1.0 / marginal.theta, coeff)))
     if isinstance(marginal, GeneralizedExponential) and marginal.lam == 1.0:
-        return _exponential_moments(n, marginal.theta, coeff)
+        return tuple(map(float, _exponential_moments(n, marginal.theta, coeff)))
     if isinstance(marginal, Uniform):
-        return _uniform_moments(n, coeff, scale=marginal.theta)
+        return tuple(map(float, _uniform_moments(n, coeff, scale=marginal.theta)))
     return None
 
 
@@ -189,7 +191,8 @@ def lyapunov_ratio(n: int, theta2: float, alpha: float, r: int) -> float:
 
 def standard_normal_cdf(z):
     """Phi at each entry of the 1-d array ``z``, as an array."""
-    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in np.asarray(z, dtype=float)])
+    erf = np.fromiter(map(math.erf, (np.asarray(z, dtype=float) / math.sqrt(2.0)).tolist()), float)
+    return 0.5 * (1.0 + erf)
 
 
 def ks_statistic(values, cdf) -> float:

@@ -66,6 +66,12 @@ def _log_product(a, b):
     return math.log(p) if 2.0**-1022 <= p < math.inf else math.log(a) + math.log(b)
 
 
+def _log_ratio(a, b):
+    """log(a / b) for a, b > 0, as log a - log b where a / b is not a normal double."""
+    q = a / b
+    return math.log(q) if 2.0**-1022 <= q < math.inf else math.log(a) - math.log(b)
+
+
 def _log1mexp(t):
     """log(1 - e^(-t)) for t >= 0 with full relative precision as t -> inf
     (the deep cdf tail); ``_safe_log`` floors it at t = 0."""
@@ -236,7 +242,7 @@ class Rayleigh(MarginalFamily):
         return np.where(y >= 0.0, y / v * np.exp(-(y**2) / (2.0 * v)), 0.0)
 
     def _cdf(self, y):
-        return np.where(y >= 0.0, -np.expm1(-(y**2) / (2.0 * self.sigma**2)), 0.0)
+        return np.where(y > 0.0, -np.expm1(-(y**2) / (2.0 * self.sigma**2)), 0.0)
 
     def _quantile(self, u, out):
         np.negative(u, out=out)
@@ -308,10 +314,14 @@ class GeneralizedExponential(MarginalFamily):
         return -_log_product(self.lam, self.theta) + B + (self.lam - 1.0) / self.lam
 
     def phi_f(self):
+        # psi(2 lam + 1) by the duplication formula where 2 lam + 1 overflows
+        x = 2.0 * self.lam + 1.0
+        psi = digamma(x) if x < math.inf else (
+            0.5 * (digamma(self.lam) + digamma(self.lam + 0.5)) + math.log(2.0) + 0.5 / self.lam)
         return (
             0.5 * _log_product(self.lam, self.theta)
-            - (self.lam - 1.0) / (4.0 * self.lam)
-            - 0.5 * (digamma(2.0 * self.lam + 1.0) + _EULER)
+            - 0.25 * (self.lam - 1.0) / self.lam  # not / (4 lam), which overflows
+            - 0.5 * (psi + _EULER)
         )
 
     def cumulative_entropy(self):
@@ -394,11 +404,11 @@ class InverseWeibull(MarginalFamily):
         return np.where(y > 0.0, -((self.theta / yy) ** self.beta), -np.inf)
 
     def shannon_entropy(self):
-        return 1.0 + _EULER * (1.0 + 1.0 / self.beta) + math.log(self.theta / self.beta)
+        return 1.0 + _EULER * (1.0 + 1.0 / self.beta) + _log_ratio(self.theta, self.beta)
 
     def phi_f(self):
         return (
-            0.5 * math.log(self.beta / self.theta)
+            0.5 * _log_ratio(self.beta, self.theta)
             - 0.5 * (1.0 + 1.0 / self.beta) * (_EULER + math.log(2.0))
             - 0.25
         )

@@ -13,6 +13,10 @@
   reference for the replicate blocks of ``empirical.mc_validate``.
 - ``spearman_rho``: the rank correlation the joint-sampler tests check
   against alpha/3.
+- ``standard_normal_cdf_loop``: Phi one numpy scalar at a time, the reference
+  for ``empirical.standard_normal_cdf``.
+- ``log_tilt_integral``: Int_{u0}^1 log(1 + c (1 - 2u)) du in closed form,
+  the expectation that ``reversed_inaccuracy`` takes by quadrature.
 """
 
 import heapq
@@ -230,3 +234,16 @@ def spearman_rho(x, y) -> float:
     rx = np.argsort(np.argsort(x)).astype(float)
     ry = np.argsort(np.argsort(y)).astype(float)
     return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def standard_normal_cdf_loop(z):
+    """Phi at each entry of the 1-d array ``z``, one element at a time."""
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in np.asarray(z, dtype=float)])
+
+
+def log_tilt_integral(c, u0, mp):
+    """Int_{u0}^1 log(1 + c (1 - 2u)) du for 0 < |c| < 1, in mpmath: with
+    w = 1 + c (1 - 2u), the antiderivative of log w in w is w log w - w."""
+    c, u0 = mp.mpf(c), mp.mpf(u0)
+    w0, w1 = 1 + c * (1 - 2 * u0), 1 - c
+    return ((w0 * mp.log(w0) - w0) - (w1 * mp.log(w1) - w1)) / (2 * c)

@@ -21,6 +21,7 @@ from concomitant_measures import cli, empirical
 from concomitant_measures.cli import TABLE1_REFERENCE, TABLE2_REFERENCE, main
 from concomitant_measures.marginals import MARGINAL_FAMILIES
 from concomitant_measures.numerics import MeasureResult
+from oracles import log_tilt_integral
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -285,7 +286,10 @@ class TestMeasure:
         row = parse_csv(out)[0]
         assert (row["value"], row["method"]) == (value, "closed_form")
 
-    @pytest.mark.parametrize("theta, lam", [("1e300", "1e300"), ("1e200", "1e150"), ("1e-300", "1e-300")])
+    # at lam = 1e308, 2 lam + 1 overflows in phi's psi(2 lam + 1); from lam =
+    # 4.5e307, 4 lam does in its (lam - 1) / (4 lam)
+    @pytest.mark.parametrize("theta, lam", [("1e300", "1e300"), ("1e200", "1e150"), ("1e-300", "1e-300"),
+                                            ("1", "1e308"), ("1", "6e307")])
     def test_genexp_inaccuracy_where_lam_theta_leaves_the_double_range(self, capsys, theta, lam):
         # reference: -Int_0^1 (1 + c (1 - 2u)) log f(Q(u)) du with
         # c = alpha C* = 0.25, f(Q(u)) = lam theta (1 - u^(1/lam)) u^(1 - 1/lam)
@@ -300,6 +304,36 @@ class TestMeasure:
             ref = -mp.quad(lambda u: (1 + (1 - 2 * u) / 4) * (
                 mp.log(L * T) + mp.log(-mp.expm1(mp.log(u) / L)) + (1 - 1 / L) * mp.log(u)), [0, 0.5, 1])
             assert abs(float(parse_csv(out)[0]["value"]) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("theta, beta", [("1e-300", "1e30"), ("1e300", "1e-10")])
+    def test_invweibull_inaccuracy_where_theta_over_beta_leaves_the_double_range(self, capsys, theta, beta):
+        # reference: -Int_0^1 (1 + c (1 - 2u)) log f(Q(u)) du with c = 0.25,
+        # log f(Q(u)) = log beta - log theta + (1 + 1/beta) log(-log u) + log u
+        mp = pytest.importorskip("mpmath")
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", f"invweibull:theta={theta},beta={beta}",
+            "--gos", "os:r=1,n=3", "--alpha", "0.5", "--measure", "inaccuracy",
+        )
+        assert (code, err) == (0, "")
+        with mp.workdps(40):
+            B, T = mp.mpf(float(beta)), mp.mpf(float(theta))
+            ref = -mp.quad(lambda u: (1 + (1 - 2 * u) / 4) * (
+                mp.log(B) - mp.log(T) + (1 + 1 / B) * mp.log(-mp.log(u)) + mp.log(u)), [0, 0.5, 1])
+            assert abs(float(parse_csv(out)[0]["value"]) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-200"])
+    def test_rayleigh_reversed_inaccuracy_where_sigma_squared_underflows(self, capsys, sigma):
+        # H - T: H = 1 + gamma/2 + log(sigma / sqrt 2) and T = E log(1 + c (1 - 2U))
+        # with c = 0.25, which does not depend on the scale
+        mp = pytest.importorskip("mpmath")
+        code, out, err = run_cli(
+            capsys, "measure", "--marginal", f"rayleigh:sigma={sigma}",
+            "--gos", "os:r=1,n=3", "--alpha", "0.5", "--measure", "reversed_inaccuracy",
+        )
+        assert (code, err) == (0, "")
+        with mp.workdps(40):
+            ref = 1 + mp.euler / 2 + mp.log(mp.mpf(float(sigma))) - mp.log(2) / 2 - log_tilt_integral(0.25, 0, mp)
+            assert abs(float(parse_csv(out)[0]["value"]) - ref) <= 1e-13 * abs(ref)
 
     def test_value_that_prints_out_of_range_exit_1(self, capsys, monkeypatch):
         # the largest double rounds up to inf at the 15 printed digits
@@ -370,6 +404,49 @@ class TestTable:
         got = cell[(15, -0.5, "variance")]
         assert float(got["reference"]) == 0.005
         assert float(got["computed"]) == pytest.approx(0.005, abs=1e-3)
+
+    @pytest.mark.parametrize("paper", [False, True])
+    @pytest.mark.parametrize("table", [1, 2])
+    def test_computed_is_the_printed_scalar_moment(self, capsys, table, paper):
+        # the batched kernels print, cell by cell, the 15-digit text of the
+        # scalar moment (after the 3-decimal rounding of --paper-precision)
+        flags = ["--paper-precision"] if paper else []
+        code, out_csv, _ = run_cli(capsys, "table", "--table", str(table), *flags)
+        assert code == 0
+        code, out_json, _ = run_cli(capsys, "table", "--table", str(table), "--format", "json", *flags)
+        assert code == 0
+        rows, records = parse_csv(out_csv), json.loads(out_json)
+        assert len(rows) == len(records) == 2 * len(TABLE1_REFERENCE if table == 1 else TABLE2_REFERENCE)
+        for row, rec in zip(rows, records):
+            n, theta2, alpha = rec["n"], rec["theta2"], rec["alpha"]
+            if table == 1:
+                moments = empirical.moments_mtbged(n, theta2, alpha, 2)
+            else:
+                moments = empirical.moments_mtbud(n, alpha, 2)
+            value = moments[("mean", "variance").index(rec["statistic"])]
+            text = f"{round(value, 3) if paper else value:.15g}"
+            assert (row["computed"], rec["computed"]) == (text, float(text))
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--table", "1"],
+        ["table", "--table", "2", "--paper-precision"],
+        ["measure", "--marginal", "rayleigh:sigma=0.8", "--gos", "record:r=3", "--alpha", "-0.7"],
+        # Rayleigh has no exact moments: None fields print empty in CSV, null in JSON
+        ["simulate", "--marginal", "rayleigh:sigma=1", "--gos", "record:r=2", "--alpha", "0.5",
+         "--n", "20", "--replicates", "100"],
+    ])
+    def test_csv_floats_are_the_15_digit_text_of_the_json_values(self, capsys, argv):
+        code, out_csv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows, records = parse_csv(out_csv), json.loads(out_json)
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            assert list(row) == list(rec)
+            for key, value in rec.items():
+                expected = "" if value is None else f"{value:.15g}" if isinstance(value, float) else str(value)
+                assert row[key] == expected
 
     def test_reference_tables_complete(self):
         assert len(TABLE1_REFERENCE) == 36

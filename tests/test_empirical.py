@@ -6,6 +6,7 @@ import signal
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from concomitant_measures.empirical import (
     standard_normal_cdf,
     theoretical_moments,
 )
-from concomitant_measures.fgm import GosParams, order_statistics, record_value
+from concomitant_measures.cli import TABLE1_REFERENCE, TABLE2_REFERENCE
+from concomitant_measures.fgm import GosParams, c_star, order_statistics, record_value
 from concomitant_measures.marginals import (
     Exponential,
     GeneralizedExponential,
@@ -40,7 +42,7 @@ from concomitant_measures.marginals import (
     Uniform,
 )
 from concomitant_measures.numerics import _JUMP_MAX_N, RngStream
-from oracles import GeneratorStream, mc_replicates_loop, spearman_rho
+from oracles import GeneratorStream, mc_replicates_loop, spearman_rho, standard_normal_cdf_loop
 
 samples = st.lists(
     st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=40
@@ -206,6 +208,51 @@ class TestMoments:
         assert u1 == pytest.approx(moments_mtbud(10, -1.0, 2), abs=1e-15)
 
 
+class TestBroadcastMoments:
+    """The moment kernels on columns of rates and tilt coefficients (one
+    call per n, as ``cmeasure table`` makes them) give, row by row, the bits
+    of the scalar moments."""
+
+    @staticmethod
+    def kernels(n, theta2, alpha, r):
+        coeff = np.array([a * c_star(record_value(k)) for a, k in zip(alpha, r)])[:, None]
+        exp = empirical._exponential_moments(n, np.array(theta2)[:, None], coeff)
+        uni = empirical._uniform_moments(n, coeff, 1.0)
+        return [list(zip(mean.tolist(), var.tolist())) for mean, var in (exp, uni)]
+
+    @pytest.mark.parametrize("n", [10, 15, 20])
+    def test_every_table_cell(self, n):
+        cells = [(t, a) for m, t, a in TABLE1_REFERENCE if m == n]
+        theta2, alpha = zip(*cells)
+        exp, _ = self.kernels(n, theta2, alpha, [2] * len(cells))
+        assert exp == [moments_mtbged(n, t, a, 2) for t, a in cells]
+        alpha = [a for m, a in TABLE2_REFERENCE if m == n]
+        _, uni = self.kernels(n, [1.0] * len(alpha), alpha, [2] * len(alpha))
+        assert uni == [moments_mtbud(n, a, 2) for a in alpha]
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 200])
+    def test_drawn_rates_and_alphas(self, n):
+        rng = np.random.default_rng(n)
+        theta2 = np.exp(rng.uniform(-5.0, 5.0, 16)).tolist()
+        alpha = rng.uniform(-1.0, 1.0, 16).tolist()
+        r = rng.integers(1, 6, 16).tolist()
+        exp, uni = self.kernels(n, theta2, alpha, r)
+        assert exp == [moments_mtbged(n, t, a, k) for t, a, k in zip(theta2, alpha, r)]
+        assert uni == [moments_mtbud(n, a, k) for a, k in zip(alpha, r)]
+
+    def test_uniform_scale_whose_square_overflows_raises_without_a_warning(self):
+        # the variance's scale**2 raises before the mean, a numpy product
+        # now, can overflow with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                theoretical_moments(Uniform(1e308), record_value(2), 0.5, 10)
+
+    def test_scalar_moments_are_python_floats(self):
+        for marginal in (Exponential(2.0), GeneralizedExponential(0.5, 1.0), Uniform(3.0)):
+            assert [type(v) for v in theoretical_moments(marginal, record_value(2), 0.5, 12)] == [float, float]
+
+
 class TestCltDiagnostics:
     def test_lyapunov_positive(self):
         for n in (2, 10, 100):
@@ -226,6 +273,11 @@ class TestCltDiagnostics:
         assert phi.shape == (2,)
         assert phi[0] == pytest.approx(0.5)
         assert phi[1] == pytest.approx(0.975, abs=1e-6)
+
+    def test_normal_cdf_bits(self):
+        rng = np.random.default_rng(3)
+        for z in [rng.standard_normal(2000) * 3.0 for _ in range(20)] + [np.array([-40.0, -0.0, 0.0, 40.0])]:
+            assert standard_normal_cdf(z).tobytes() == standard_normal_cdf_loop(z).tobytes()
 
     def test_ks_statistic_exact_fit(self):
         u = np.linspace(0.005, 0.995, 100)

@@ -228,6 +228,17 @@ class TestFunctionalValues:
         assert Logistic().phi_f() == pytest.approx(-0.625 - math.log(2.0) / 4.0, abs=1e-15)
         assert round(Logistic().phi_f(), 1) == -0.8
 
+    @pytest.mark.parametrize("lam", [6e307, 1e308, 1.7976931348623157e308])
+    def test_genexp_phi_where_2_lam_overflows(self, lam):
+        # phi = log(lam theta)/2 - (lam - 1)/(4 lam) - (psi(2 lam + 1) + gamma)/2,
+        # which tends to -log(2)/2 - 1/4 - gamma/2 at theta = 1
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            L = mp.mpf(lam)
+            ref = mp.log(L) / 2 - (L - 1) / (4 * L) - (mp.digamma(2 * L + 1) + mp.euler) / 2
+            assert abs(ref - (-mp.log(2) / 2 - mp.mpf(1) / 4 - mp.euler / 2)) < 1e-30
+        assert abs(GeneralizedExponential(1.0, lam).phi_f() - float(ref)) <= 1e-12
+
     def test_ce_values(self):
         for theta in (0.5, 1.0, 3.0):
             assert Uniform(theta).cumulative_entropy() == pytest.approx(theta / 4.0)
