@@ -11,8 +11,8 @@ stdout, diagnostics on stderr only:
                  3-decimal reference values
     simulate  -- Monte Carlo validation of the spacings estimator
 
-Floats are printed with 15 significant digits; --paper-precision rounds to 3
-decimals for diffing against the reference tables.  The seed defaults to 0.
+Floats are printed with 15 significant digits; table --paper-precision rounds
+to 3 decimals for diffing against the reference tables; the seed defaults to 0.
 
 Exit codes: 0 success, 1 domain error, out-of-range result or unallocatable
 size, 2 spec-string parse error, 3 numerical failure (the quadrature could not
@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--paper-precision", action="store_true",
-                       help="round printed values to 3 decimals")
 
     m = sub.add_parser("measure", help="compute measures for one configuration")
     m.add_argument("--marginal", required=True, help="e.g. exponential:theta=1")
@@ -94,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="reproduce a reference moment table")
     t.add_argument("--table", type=int, required=True, help="1 or 2")
+    t.add_argument("--paper-precision", action="store_true", help="round printed values to 3 decimals")
     add_common(t)
 
     s = sub.add_parser("simulate", help="Monte Carlo validation of the spacings estimator")
@@ -191,7 +190,7 @@ def main(argv=None) -> int:
         # overflow shows as an error or a non-finite result, not as warnings
         with np.errstate(all="ignore"):
             records = _COMMANDS[args.command](args)
-        text = _render(records, args.format, args.paper_precision)
+        text = _render(records, args.format, getattr(args, "paper_precision", False))
     except SpecFormatError as exc:
         print(f"cmeasure: spec error: {exc}", file=sys.stderr)
         return 2

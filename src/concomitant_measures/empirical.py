@@ -36,7 +36,7 @@ from .marginals import (
     Uniform,
     format_marginal,
 )
-from .numerics import RngStream
+from .numerics import RngStream, _as_int
 
 __all__ = [
     "spacings",
@@ -291,7 +291,9 @@ def mc_validate(
 
     Replicate i draws from ``stream.substream(i)``, so the value of every
     replicate is pinned by (seed, stream_id, i) alone -- reproducible under
-    any parallel execution layout.  Requires ``replicates >= 100``.
+    any parallel execution layout.  Requires integers (bool rejected) n >= 2
+    and 100 <= replicates <= 2^32, the substream indices that
+    :meth:`RngStream.block_uniforms` serves, checked before any allocation.
 
     Replicates are computed in blocks of about 2^15 sample values (at least
     one replicate per block), in place in one block buffer: one
@@ -313,8 +315,9 @@ def mc_validate(
     CPUs; an exception raised in a chunk is raised here once every chunk
     has ended.
     """
-    if replicates < 100:
-        raise ValueError(f"need replicates >= 100, got {replicates}")
+    n, replicates = _as_int("n", n), _as_int("replicates", replicates)
+    if not 100 <= replicates <= 2**32:
+        raise ValueError(f"need 100 <= replicates <= 2**32, got {replicates}")
     model = FgmModel(marginal_x=marginal, marginal_y=marginal, alpha=alpha)
     # empirical_cpi of each replicate, with its weights computed once
     w = _estimator_weights(n, alpha * c_star(p))

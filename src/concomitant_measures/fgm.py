@@ -49,7 +49,7 @@ class GosParams:
     k: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.r, int) and isinstance(self.n, int)):
+        if not (isinstance(self.r, int) and isinstance(self.n, int)) or bool in (type(self.r), type(self.n)):
             raise ValueError("r and n must be integers")
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
@@ -265,7 +265,7 @@ def extremes_coefficient(alphas, which: str) -> float:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ValueError("alphas must be a non-empty 1-d sequence")
-    if np.any(np.abs(alphas) > 1.0):
+    if not np.all(np.abs(alphas) <= 1.0):  # NaN fails too
         raise ValueError("every |alpha_j| must be <= 1")
     if which not in ("min", "max"):
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")

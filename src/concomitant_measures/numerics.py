@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -434,16 +435,29 @@ def _row_generator() -> np.random.Generator:
     return gen
 
 
+def _as_int(name: str, value) -> int:
+    """``operator.index(value)``, bool rejected: the integer rule of seeds,
+    stream ids and counts.  Callers check the range."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 class RngStream:
-    """A deterministic uniform(0,1) stream identified by (seed, stream_id).
+    """A deterministic uniform(0,1) stream identified by (seed, stream_id),
+    two non-negative integers (``operator.index``, bool rejected).
 
     Streams with different ``stream_id`` under the same seed are statistically
     independent (PCG64 seeded through a spawn key).  :meth:`uniforms`
     advances the stream, so its draws belong to a single consumer; parallel
     work should partition by stream_id or use :meth:`substream`.
-    :meth:`block_uniforms` draws a block of substreams at once, below
-    ``_JUMP_MAX_N`` values per row with array arithmetic on the PCG64 states
-    and from it on row by row; it leaves the stream unchanged, and any
+    :meth:`block_uniforms` draws substreams of indices below 2^32 at once
+    into a C-contiguous float64 block, in one of two ways chosen by the row
+    length alone: below ``_JUMP_MAX_N`` with array arithmetic on the PCG64
+    states, from it on row by row.  It leaves the stream unchanged, and any
     number of threads may call it on one instance at once.
 
     Each value is (k + 1/2) 2^-53 rounded to float64, with k the top 53 bits
@@ -457,7 +471,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _key: tuple[int, ...] | None = None):
-        self.seed, self.stream_id = int(seed), int(stream_id)
+        self.seed, self.stream_id = _as_int("seed", seed), _as_int("stream_id", stream_id)
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
             if value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value}")
@@ -484,9 +498,10 @@ class RngStream:
 
     def _seeds(self, start: int, rows: int) -> np.ndarray:
         """The ``generate_state(4, uint64)`` words of the SeedSequences of
-        substreams start, ..., start + rows - 1 (indices below 2^32), one
-        column per row: PCG64's 128-bit seed s in words 0, 1 and its stream
-        q in words 2, 3, each pair as (high, low).
+        substreams start, ..., start + rows - 1 (indices below 2^32, as
+        :meth:`block_uniforms` checks), one column per row: PCG64's 128-bit
+        seed s in words 0, 1 and its stream q in words 2, 3, each pair as
+        (high, low).
 
         A substream's SeedSequence entropy is this stream's entropy plus one
         word, the index, and numpy hashes every word past the fourth into the
@@ -503,8 +518,9 @@ class RngStream:
         return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").T
 
     def block_uniforms(self, start: int, out: np.ndarray) -> None:
-        """Fill row j of the 2-d float64 array ``out`` with
-        ``self.substream(start + j).uniforms(out.shape[1])``, bit for bit.
+        """Fill row j of the 2-d C-contiguous float64 array ``out`` with
+        ``self.substream(start + j).uniforms(out.shape[1])``, bit for bit, when
+        every start + j is in [0, 2^32); otherwise raise ValueError, out unchanged.
 
         The rows' PCG64 states are seeded together (:meth:`_seeds`).  Below
         a sample size of ``_JUMP_MAX_N`` the whole block's outputs are then
@@ -514,29 +530,29 @@ class RngStream:
         generator (:func:`_row_generator`), whose ``random`` writes k 2^-53
         straight into the row.  One block-wide addition of 2^-54 then gives
         (k + 1/2) 2^-53: both round the same exact value (2k + 1) 2^-54.
-        Concurrent calls share nothing they write.  Indices of 2^32 and
-        above take two entropy words and go through :meth:`substream`.
+        Concurrent calls share nothing they write.
         """
+        if not (out.ndim == 2 and out.dtype == np.float64 and out.flags.c_contiguous):
+            raise ValueError(f"out must be a 2-d C-contiguous float64 array, got {out.dtype} {out.shape}")
         rows, n = out.shape
+        if not 0 <= start <= 2**32 - rows:
+            raise ValueError(f"need 0 <= start and start + rows <= 2**32, got start={start}, rows={rows}")
         if not out.size:
             return
-        work = out if out.flags.c_contiguous else np.empty((rows, n))
-        fast = max(0, min(rows, 2**32 - start))
-        if fast and n < _JUMP_MAX_N:
-            head = work[:fast]
-            raw = head.view(np.uint64)
-            _pcg64_block(self._seeds(start, fast), raw)
+        if n < _JUMP_MAX_N:
+            raw = out.view(np.uint64)
+            _pcg64_block(self._seeds(start, rows), raw)
             # Generator.random's (word >> 11) 2^-53, in place: a 1-d copyto
             # casts element by element, where a 2-d one would copy the block
             flat = raw.reshape(-1)
             flat >>= 11
-            np.copyto(head.reshape(-1), flat, casting="unsafe")
-            head *= 2.0**-53
-        elif fast:
+            np.copyto(out.reshape(-1), flat, casting="unsafe")
+            out *= 2.0**-53
+        else:
             gen = _row_generator()
             # pcg64_set_seed in Python integers: on the one-row blocks of
             # large n, numpy calls on one-element arrays cost more
-            for row, (s1, s0, q1, q0) in zip(work, zip(*self._seeds(start, fast).tolist())):
+            for row, (s1, s0, q1, q0) in zip(out, zip(*self._seeds(start, rows).tolist())):
                 inc = ((q1 << 64 | q0) << 1 | 1) & _MASK128
                 gen.bit_generator.state = {
                     "bit_generator": "PCG64",
@@ -545,11 +561,7 @@ class RngStream:
                     "uinteger": 0,
                 }
                 gen.random(out=row)
-        for j in range(fast, rows):
-            np.random.Generator(self.substream(start + j)._bits).random(out=work[j])
-        work += 2.0**-54
-        if work is not out:
-            out[...] = work
+        out += 2.0**-54
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

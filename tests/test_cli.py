@@ -95,13 +95,16 @@ class TestMeasure:
                 else:
                     assert c[key] == ("" if jval is None else str(jval))
 
-    def test_paper_precision_rounds(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3",
-            "--alpha", "0.33", "--measure", "inaccuracy", "--paper-precision",
-        )
-        value = parse_csv(out)[0]["value"]
-        assert value == "0.917"  # 1 - 0.165/2; the stored double sits just below 0.9175
+    def test_paper_precision_is_table_only(self, capsys):
+        for argv in (["measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3", "--alpha", "0.33"],
+                     ["simulate", "--marginal", "exponential:theta=1", "--gos", "record:r=2", "--alpha", "0.5",
+                      "--n", "20", "--replicates", "100"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--paper-precision"])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert captured.out == ""
+            assert "unrecognized arguments: --paper-precision" in captured.err
 
     def test_parse_error_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -489,6 +492,13 @@ class TestSimulate:
         assert env_run == run_cli(capsys, *argv, "--seed", "0")
         assert env_run[0] == 0
         assert parse_csv(env_run[1])[0]["seed"] == "0"
+
+    def test_replicates_past_2_32_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--marginal", "exponential:theta=1", "--gos", "record:r=2",
+            "--alpha", "0.5", "--n", "20", "--replicates", str(2**32 + 1),
+        )
+        assert (code, out, err) == (1, "", "cmeasure: need 100 <= replicates <= 2**32, got 4294967297\n")
 
     def test_negative_seed_exit_1(self, capsys):
         code, out, err = run_cli(

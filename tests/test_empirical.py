@@ -295,6 +295,35 @@ class TestMcValidate:
         with pytest.raises(ValueError, match="replicates"):
             mc_validate(Uniform(1.0), record_value(2), -1.0, 10, 50, RngStream(0))
 
+    def test_replicates_past_2_32_rejected_before_allocating(self, monkeypatch):
+        # substream indices stop at 2^32 - 1; the vals array alone would be 32 GiB
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the replicates check")
+
+        monkeypatch.setattr(empirical.np, "empty", no_allocation)
+        monkeypatch.setattr(empirical, "_estimator_weights", no_allocation)
+        for replicates in (2**32 + 1, 2**64):
+            with pytest.raises(ValueError, match=rf"^need 100 <= replicates <= 2\*\*32, got {replicates}$"):
+                mc_validate(Exponential(1.0), record_value(2), 0.5, 20, replicates, RngStream(0))
+
+    @pytest.mark.parametrize("n", [20.5, 20.0, True, "20", np.float64(20.0)], ids=repr)
+    def test_non_integer_n_rejected(self, n):
+        # n = 20.5 drew samples of 21 with the weights of n = 20.5
+        with pytest.raises(ValueError, match=r"^n must be a non-negative integer, got "):
+            mc_validate(Exponential(1.0), record_value(2), 0.5, n, 100, RngStream(0))
+
+    @pytest.mark.parametrize("replicates", [150.5, 150.0, True, "150", np.float64(150.0)], ids=repr)
+    def test_non_integer_replicates_rejected(self, replicates):
+        with pytest.raises(ValueError, match=r"^replicates must be a non-negative integer, got "):
+            mc_validate(Exponential(1.0), record_value(2), 0.5, 20, replicates, RngStream(0))
+
+    def test_numpy_integer_counts(self):
+        args = (Exponential(1.0), record_value(2), 0.5)
+        a = mc_validate(*args, np.int64(20), np.uint16(150), RngStream(0))
+        b = mc_validate(*args, 20, 150, RngStream(0))
+        assert a == b
+        assert type(a.n) is int and type(a.replicates) is int
+
     def test_determinism(self):
         a = mc_validate(Uniform(1.0), record_value(2), -1.0, 10, 200, RngStream(4))
         b = mc_validate(Uniform(1.0), record_value(2), -1.0, 10, 200, RngStream(4))

@@ -566,6 +566,14 @@ class TestExtremes:
         with pytest.raises(ValueError):
             extremes_coefficient([0.5], "median")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coefficient_rejects_non_finite_alphas(self, bad):
+        # |nan| > 1 is False, so the bound must be written to fail on NaN
+        for alphas in ([bad], [bad, 0.5], [0.5, bad, -0.2]):
+            for which in ("min", "max"):
+                with pytest.raises(ValueError, match=r"\|alpha_j\| must be <= 1"):
+                    extremes_coefficient(alphas, which)
+
 
 class TestGosSpecStrings:
     def test_parse(self):
@@ -593,6 +601,12 @@ class TestGosSpecStrings:
         assert format_gos(GosParams(2, 5, 0.1 + 0.2, 1.0 / 3.0)) == (
             "r=2,n=5,m=0.30000000000000004,k=0.3333333333333333"
         )
+
+    @pytest.mark.parametrize("r, n", [(True, 2), (1, True), (True, True), (False, 3)])
+    def test_bool_r_or_n_rejected(self, r, n):
+        # format_gos would print r=True, which parse_gos rejects
+        with pytest.raises(ValueError, match="^r and n must be integers$"):
+            GosParams(r, n)
 
     def test_canonical_shorthands(self):
         assert format_gos(GosParams(2, 5, 0.0, 1.0)) == "os:r=2,n=5"

@@ -303,6 +303,12 @@ class TestExtremesMeasure:
         res = extremes_inaccuracy(Exponential(1.0), [1.0, 1.0, 1.0], "min")
         assert res.value == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("alphas", [[math.nan, 0.5], [0.5, math.inf], [-math.inf]])
+    def test_non_finite_alpha_rejected(self, alphas):
+        # the FgmModel rule: no NaN value from a NaN alpha
+        with pytest.raises(ValueError, match="alpha"):
+            extremes_inaccuracy(Exponential(1.0), alphas, "min")
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=12))
     def test_min_max_sum_identity(self, alphas):

@@ -346,6 +346,22 @@ class TestRngStream:
         with pytest.raises(ValueError, match=f"^{message}$"):
             RngStream(*args)
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, False, "1", np.float64(1.0), np.True_], ids=repr)
+    def test_non_integer_seed_rejected(self, seed):
+        # int() truncated 1.7 and True to seed 1
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+            RngStream(seed)
+
+    @pytest.mark.parametrize("stream_id", [2.5, 2.0, True, "2", np.float32(2.0)], ids=repr)
+    def test_non_integer_stream_id_rejected(self, stream_id):
+        with pytest.raises(ValueError, match=r"^stream_id must be a non-negative integer, got "):
+            RngStream(1, stream_id)
+
+    def test_numpy_integer_seed_and_stream_id(self):
+        a, b = RngStream(np.uint64(2**63 + 5), np.int32(7)), RngStream(2**63 + 5, 7)
+        assert (type(a.seed), type(a.stream_id)) == (int, int)
+        assert _same_bits(a.uniforms(100), b.uniforms(100))
+
     def test_substream_is_order_independent(self):
         s = RngStream(seed=99)
         late = s.substream(7).uniforms(4)
@@ -429,10 +445,23 @@ class TestBlockUniforms:
 
     @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**100 - 3, 2**33 + 1)])
     def test_block_straddling_index_2_32(self, seed, stream_id):
-        # indices from 2^32 on take two entropy words: the substream fallback
+        # rows up to index 2^32 - 1 are served; a block reaching 2^32 raises
         for parent, reference in self._parents(seed, stream_id):
-            for start, rows in ((2**32 - 3, 6), (2**32 - 1, 1), (2**32, 2), (2**40, 3)):
+            for start, rows in ((2**32 - 3, 3), (2**32 - 1, 1), (2**32, 0)):
                 self._check(parent, reference, start, rows, 20)
+            for start, rows in ((2**32 - 3, 4), (2**32 - 1, 2), (2**32, 1), (2**40, 3)):
+                self._check_rejected(parent, start, np.full((rows, 20), np.nan), self.BAD_START)
+
+    # the messages of block_uniforms' two input checks
+    BAD_START = r"^need 0 <= start and start \+ rows <= 2\*\*32, got start="
+    BAD_OUT = r"^out must be a 2-d C-contiguous float64 array, got "
+
+    @staticmethod
+    def _check_rejected(parent, start, out, message):
+        before = out.copy()
+        with pytest.raises(ValueError, match=message):
+            parent.block_uniforms(start, out)
+        assert _same_bits(out, before)
 
     def test_leaves_the_stream_unchanged(self):
         a, b = RngStream(3, 1), RngStream(3, 1)
@@ -488,17 +517,19 @@ class TestBlockUniforms:
 
     @pytest.mark.parametrize("n", JUMP_NS)
     def test_straddling_index_2_32_at_every_path(self, n):
-        # array-arithmetic or per-row rows, then substream rows
+        # the top of the uint32 index range either way; one row past it raises
         for parent, reference in self._parents(2**64 + 11, 2**33 + 1):
-            for start, rows in ((2**32 - 5, 8), (2**32 - 1, 2)):
+            for start, rows in ((2**32 - 5, 5), (2**32 - 1, 1)):
                 self._check(parent, reference, start, rows, n)
+            for start, rows in ((2**32 - 5, 8), (2**32 - 1, 2)):
+                self._check_rejected(parent, start, np.full((rows, n), np.nan), self.BAD_START)
 
     @pytest.mark.parametrize("n", [numerics._JUMP_MAX_N - 1, numerics._JUMP_MAX_N])
     def test_path_depends_on_n_alone(self, monkeypatch, n):
         calls = []
         block = numerics._pcg64_block
         monkeypatch.setattr(numerics, "_pcg64_block", lambda *args: calls.append(n) or block(*args))
-        for start, rows in ((0, 1), (0, 300), (2**32 - 2, 3)):
+        for start, rows in ((0, 1), (0, 300), (2**32 - 3, 3)):
             RngStream(1).block_uniforms(start, np.empty((rows, n)))
         assert len(calls) == (3 if n < numerics._JUMP_MAX_N else 0)
 
@@ -515,11 +546,18 @@ class TestBlockUniforms:
 
     @pytest.mark.parametrize("n", [20, 4000])
     def test_non_contiguous_out(self, n):
-        a, b = RngStream(9, 2), GeneratorStream(9, 2)
-        out = np.full((n, 6), np.nan).T
-        a.block_uniforms(40, out)
-        expected = np.array([b.substream(40 + j).uniforms(n) for j in range(6)])
-        assert _same_bits(np.ascontiguousarray(out), expected)
+        # out must be a 2-d C-contiguous float64 array: anything else raises
+        # before a value is written, whichever way the row length picks
+        a = RngStream(9, 2)
+        for out in (np.full((n, 6), np.nan).T, np.full((6, 2 * n), np.nan)[:, ::2],
+                    np.full((6, n), np.nan, dtype=np.float32), np.full(n, np.nan),
+                    np.full((1, 6, n), np.nan)):
+            self._check_rejected(a, 40, out, self.BAD_OUT)
+
+    @pytest.mark.parametrize("n", [20, 4000])
+    def test_negative_start(self, n):
+        for start in (-1, -(2**40)):
+            self._check_rejected(RngStream(9, 2), start, np.full((3, n), np.nan), self.BAD_START)
 
     def test_no_floating_point_or_overflow_warnings(self):
         # uint64 arithmetic wraps silently on arrays, not on numpy scalars;
@@ -528,9 +566,9 @@ class TestBlockUniforms:
             out = np.empty((300, n))
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                RngStream(2**100 - 3, 5).block_uniforms(2**32 - 150, out)
+                RngStream(2**100 - 3, 5).block_uniforms(2**32 - 300, out)
                 report = mc_validate(Exponential(1.0), record_value(2), 0.5, n, 200, RngStream(4))
-            expected = np.array([GeneratorStream(2**100 - 3, 5).substream(2**32 - 150 + j).uniforms(n)
+            expected = np.array([GeneratorStream(2**100 - 3, 5).substream(2**32 - 300 + j).uniforms(n)
                                  for j in range(300)])
             assert _same_bits(out, expected)
             assert math.isfinite(report.empirical_mean)
