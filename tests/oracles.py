@@ -17,6 +17,9 @@
   for ``empirical.standard_normal_cdf``.
 - ``log_tilt_integral``: Int_{u0}^1 log(1 + c (1 - 2u)) du in closed form,
   the expectation that ``reversed_inaccuracy`` takes by quadrature.
+- ``log_cdf_closed_form``: log F of Exponential, Rayleigh and Uniform written
+  out as log(1 - e^-t) and log min(y/theta, 1), the reference that these
+  families' log of cdf matches bit for bit.
 """
 
 import heapq
@@ -33,6 +36,7 @@ from concomitant_measures.marginals import (
     Logistic,
     Rayleigh,
     Uniform,
+    _safe_log,
 )
 from concomitant_measures.numerics import (
     _WG,
@@ -247,3 +251,18 @@ def log_tilt_integral(c, u0, mp):
     c, u0 = mp.mpf(c), mp.mpf(u0)
     w0, w1 = 1 + c * (1 - 2 * u0), 1 - c
     return ((w0 * mp.log(w0) - w0) - (w1 * mp.log(w1) - w1)) / (2 * c)
+
+
+def log_cdf_closed_form(m, y):
+    """log F(y) of an Exponential, Rayleigh or Uniform family, -inf for y <= 0
+    (and NaN y), floored by ``_safe_log`` where F = 0."""
+    y = np.asarray(y, dtype=float)
+    if isinstance(m, Uniform):
+        return np.where(y > 0.0, _safe_log(np.minimum(y / m.theta, 1.0)), -np.inf)
+    if isinstance(m, Exponential):
+        t = np.maximum(y, 0.0) / m.theta
+    elif isinstance(m, Rayleigh):
+        t = np.maximum(y, 0.0) ** 2 / (2.0 * m.sigma**2)
+    else:
+        raise ValueError(f"no closed-form log F for {type(m).__name__}")
+    return np.where(y > 0.0, _safe_log(-np.expm1(-t)), -np.inf)

@@ -481,6 +481,18 @@ class TestSimulate:
         assert float(row["empirical_mean"]) == pytest.approx(0.285, abs=0.03)
         assert row["theoretical_mean"] != ""
 
+    @pytest.mark.parametrize("lam", ["1e16", "1e17", "1e300"])
+    def test_genexp_at_large_shape(self, capsys, lam):
+        # GenExp's quantile stays finite where u^(1/lam) rounds to 1
+        code, out, err = run_cli(
+            capsys, "simulate", "--marginal", f"genexp:theta=1,lam={lam}", "--gos", "record:r=2",
+            "--alpha", "0.5", "--n", "20", "--replicates", "100",
+        )
+        assert (code, err) == (0, "")
+        row = parse_csv(out)[0]
+        for field in ("empirical_mean", "empirical_variance", "analytic_cpi", "bias"):
+            assert math.isfinite(float(row[field])), (field, row[field])
+
     def test_seed_environment_variable_is_ignored(self, capsys, monkeypatch):
         # --seed is the one seed knob: a CM_SEED left in the environment
         # changes nothing, and the default is seed 0

@@ -53,6 +53,10 @@ class TestDecomposition:
             res = cpi_gos(model(m, 0.0), order_statistics(2, 9))
             assert res.value == pytest.approx(m.cumulative_entropy(), abs=1e-12)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="^unknown method 'simpson'$"):
+            cpi_gos(model(Exponential(1.0), 0.5), order_statistics(1, 3), "simpson")
+
     def test_method_tags(self):
         p = order_statistics(1, 3)
         for m in FAMILIES:

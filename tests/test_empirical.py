@@ -55,6 +55,22 @@ class TestEstimator:
         with pytest.raises(ValueError):
             spacings([1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("two_d", [False, True], ids=["1-d", "2-d"])
+    @pytest.mark.parametrize("estimator", [
+        spacings,
+        lambda v: empirical_cpi(v, 0.5, record_value(2)),
+        empirical_cumulative_entropy,
+        empirical_cumulative_entropy_max2,
+    ], ids=["spacings", "cpi", "ce", "ce2"])
+    def test_non_finite_sample_rejected(self, estimator, two_d, bad):
+        # the bad value in the middle, and in the second row of a 2-d sample
+        values = [[0.1, bad, 0.3]]
+        if two_d:
+            values = [[1.0, 2.0, 3.0], values[0]]
+        with pytest.raises(ValueError, match="^the sample must be finite; it holds NaN or inf$"):
+            estimator(np.array(values if two_d else values[0]))
+
     def test_constant_sample_is_zero(self):
         assert empirical_cpi([2.0, 2.0, 2.0, 2.0], 0.7, order_statistics(1, 3)) == 0.0
 
@@ -509,6 +525,14 @@ class TestMcValidatePool:
             mc_validate(_FailingQuantile(1.0), record_value(2), 0.5, _POOL_MIN_N, 100, RngStream(1))
         assert raised.value.args[0].startswith("mc_validate")  # raised on a pool thread
         assert capfd.readouterr().err == ""
+
+    def test_worker_count_without_sched_getaffinity(self, monkeypatch):
+        # where the platform has no affinity mask, every CPU counts
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert empirical._worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert empirical._worker_count() == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a multi-threaded process

@@ -608,6 +608,25 @@ class TestGosSpecStrings:
         with pytest.raises(ValueError, match="^r and n must be integers$"):
             GosParams(r, n)
 
+    @pytest.mark.parametrize("r, n", [(2.0, 5), (2, 5.0), (np.float64(2.0), 5), (2, np.bool_(True)), ("2", 5)])
+    def test_non_integer_r_or_n_rejected(self, r, n):
+        with pytest.raises(ValueError, match="^r and n must be integers$"):
+            GosParams(r, n)
+
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
+    def test_numpy_integer_r_and_n(self, request, cast):
+        # stored as Python ints: equal, hashed alike (c_star's memo serves the
+        # second call from the first), printed alike
+        p = GosParams(cast(2), cast(5))
+        assert type(p.r) is int and type(p.n) is int
+        assert p == GosParams(2, 5) and hash(p) == hash(GosParams(2, 5))
+        assert format_gos(p) == "os:r=2,n=5" and repr(p) == repr(GosParams(2, 5))
+        fgm.c_star.cache_clear()
+        request.addfinalizer(fgm.c_star.cache_clear)
+        assert c_star(p) == c_star(GosParams(2, 5))
+        assert fgm.c_star.cache_info().hits == 1
+        assert record_value(np.int64(3)) == record_value(3)
+
     def test_canonical_shorthands(self):
         assert format_gos(GosParams(2, 5, 0.0, 1.0)) == "os:r=2,n=5"
         assert format_gos(GosParams(3, 3, -1.0, 1.0)) == "record:r=3"

@@ -259,6 +259,19 @@ def test_exhausted_budget_raises_even_with_a_tight_best_estimate(monkeypatch, ro
         assert info.value.best is best
 
 
+def test_reversed_route_reraises_a_failure_without_a_best_estimate(monkeypatch):
+    # a non-finite integrand value leaves no estimate to restate as H - integral
+    error = QuadratureError("integrand returned a non-finite value at y=0.5")
+
+    def failing(f, lo, hi):
+        raise error
+
+    monkeypatch.setattr(inaccuracy, "integrate", failing)
+    with pytest.raises(QuadratureError) as info:
+        reversed_inaccuracy(model(Exponential(1.0), 0.5), order_statistics(1, 3))
+    assert info.value is error and info.value.best is None
+
+
 @pytest.mark.parametrize("module, route", [
     (inaccuracy, lambda mdl, p: inaccuracy_gos(mdl, p, "quadrature")),
     (inaccuracy, reversed_inaccuracy),

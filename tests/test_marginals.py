@@ -7,6 +7,7 @@ defining y-space integrals.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from concomitant_measures.marginals import (
     parse_marginal,
 )
 from concomitant_measures.numerics import integrate
-from oracles import integrate_per_panel
+from oracles import integrate_per_panel, log_cdf_closed_form
 
 EULER = 0.5772156649015328606
 
@@ -153,6 +154,25 @@ def test_kernels_defined_from_subnormal_to_huge_arguments(m):
     assert not np.any(np.isnan(log_cdf))
 
 
+# every sign and magnitude of y, the support's edge at 0, subnormals and the
+# non-finite values
+LOG_CDF_GRID = np.concatenate([
+    [-math.inf, -1.7976931348623157e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 2.2250738585072014e-308],
+    np.logspace(-320, 308, 4000),
+    [1.7976931348623157e308, math.inf, math.nan],
+])
+
+
+# Rayleigh's sigma**2 overflows from sigma ~ 1.3e154, so its scales stop at 1e150
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1e-3, 1.0, 7.5, 1e20, 1e100, 1e150])
+@pytest.mark.parametrize("cls", [Exponential, Rayleigh, Uniform])
+def test_log_cdf_is_log_of_cdf_bit_for_bit(cls, scale):
+    m = cls(scale)
+    with np.errstate(all="ignore"):
+        got, ref = m.log_cdf(LOG_CDF_GRID), log_cdf_closed_form(m, LOG_CDF_GRID)
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
 KERNELS = ("pdf", "cdf", "log_cdf", "quantile")
 
 
@@ -162,9 +182,12 @@ class TestKernelBoundary:
     kernels and back, and checks the quantile argument once."""
 
     def test_families_define_only_the_array_kernels(self, m):
+        # _log_cdf is log of _cdf except in the families whose own form keeps
+        # a tail that log(cdf) loses
+        own_log_cdf = type(m) in (GeneralizedExponential, Logistic, InverseWeibull)
         for name in KERNELS:
             assert name not in type(m).__dict__
-            assert "_" + name in type(m).__dict__
+            assert ("_" + name in type(m).__dict__) == (name != "log_cdf" or own_log_cdf)
 
     @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array(0.3)], ids=["float", "np.float64", "0-d"])
     def test_scalar_in_float_out(self, m, x):
@@ -211,6 +234,48 @@ class TestKernelBoundary:
                 m.quantile(u, out=out)
         assert np.array_equal(other, np.full_like(u, 7.0))
         assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
+
+
+# shapes above _GENEXP_LOG_QUANTILE_LAM = 4, with the relative error allowed
+# against mpmath: below lam ~ 1e3 the rounding of log(u) / lam (or of 1 / lam)
+# costs up to |log(u) / lam| ulps as u -> 0; from there on a few ulps
+GENEXP_LARGE_LAM = [(4.000000000000001, 1.2e-14), (5.0, 1.2e-14), (16.0, 1.2e-14), (100.0, 1.2e-14),
+                    (1e6, 4.5e-16), (1e12, 4.5e-16), (1e16, 4.5e-16), (1e17, 4.5e-16),
+                    (1e100, 4.5e-16), (1e300, 4.5e-16), (1.7976931348623157e308, 4.5e-16)]
+# from 1e-300 to 1 - 2^-53, both ends included, with subnormals
+GENEXP_U = np.concatenate([[5e-324, 2.2250738585072014e-308], np.logspace(-300, -1, 80),
+                           1.0 - np.logspace(-1, -15.9, 80), [0.5, 0.9, 1.0 - 2.0**-53]])
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.3])
+@pytest.mark.parametrize("lam, rel", GENEXP_LARGE_LAM, ids=[repr(lam) for lam, _ in GENEXP_LARGE_LAM])
+class TestGenExpQuantileAtLargeShape:
+    """Q(u) = -log(1 - u^(1/lam)) / theta where 1 - u^(1/lam) cancels."""
+
+    def test_against_mpmath(self, theta, lam, rel):
+        mp = pytest.importorskip("mpmath")
+        ref = []
+        with mp.workdps(50):
+            for u in GENEXP_U:
+                a = mp.log(mp.mpf(float(u))) / mp.mpf(lam)
+                log1mx = mp.log(-mp.expm1(a)) if a > -mp.log(2) else mp.log1p(-mp.exp(a))
+                ref.append(float(-log1mx / mp.mpf(theta)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no inf, no RuntimeWarning
+            y = GeneralizedExponential(theta, lam).quantile(GENEXP_U)
+        assert np.all(np.isfinite(y))
+        np.testing.assert_allclose(y, ref, rtol=rel, atol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=9),
+                      elements=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    def test_quantile_into_out_is_bitwise_the_plain_quantile(self, theta, lam, rel, u):
+        m = GeneralizedExponential(theta, lam)
+        expected = m.quantile(u)
+        assert np.all(np.isfinite(expected))
+        in_place = u.copy()
+        assert m.quantile(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place.view(np.uint64), expected.view(np.uint64))
 
 
 class TestFunctionalValues:
@@ -398,6 +463,16 @@ class TestSpecStrings:
         positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
         m = cls(**{f.name: data.draw(positive, label=f.name) for f in dataclasses.fields(cls)})
         assert parse_marginal(format_marginal(m)) == m
+
+    def test_format_rejects_an_unregistered_family(self):
+        # a subclass is not the family it extends: its spec would parse back
+        # to the base class
+        @dataclasses.dataclass(frozen=True)
+        class Shifted(Exponential):
+            pass
+
+        with pytest.raises(ValueError, match=r"^not a registered marginal family: .*Shifted\(theta=2\.0\)$"):
+            format_marginal(Shifted(2.0))
 
     def test_echo_digits(self):
         assert format_marginal(InverseWeibull(1.5, 3.0)) == "invweibull:theta=1.5,beta=3"

@@ -334,6 +334,10 @@ class TestRngStream:
         assert u.min() > 0.0
         assert u.max() < 1.0
 
+    def test_repr(self):
+        assert repr(RngStream(12345, 3)) == "RngStream(seed=12345, stream_id=3)"
+        assert repr(RngStream(np.uint8(7))) == "RngStream(seed=7, stream_id=0)"
+
     def test_mean_clt_bound(self):
         u = RngStream(seed=0).uniforms(1_000_000)
         assert abs(u.mean() - 0.5) < 0.002
