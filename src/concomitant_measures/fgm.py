@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marginals import MarginalFamily, SpecFormatError, format_number, parse_fields
-from .numerics import RngStream, _as_int
+from .numerics import _BERNOULLI, RngStream, _as_int
 
 __all__ = [
     "GosParams",
@@ -136,10 +136,6 @@ def c_star(p: GosParams) -> float:
     return 2.0 * float(np.multiply.accumulate(g / (g + 1.0))[-1]) - 1.0
 
 
-# Bernoulli numbers B_0 .. B_10: _c_star_gamma_ratio sums 9 terms of its series
-_BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0, -1.0 / 30.0, 0.0, 5.0 / 66.0)
-
-
 def _c_star_gamma_ratio(p: GosParams) -> float:
     """C* for m != -1 from the product of the factors x/(x + d) over
     x = x0, x0 + 1, .., a - 1, with d = 1/|m+1| and a = x0 + r.
@@ -173,7 +169,7 @@ def _c_star_gamma_ratio(p: GosParams) -> float:
     t = (p.r - steps) / a
     ln_ratio = math.log1p(-t) if t < 0.5 else math.log(x / a)
     log_prod += d * ln_ratio
-    for i in range(1, len(_BERNOULLI) - 1):
+    for i in range(1, 10):  # 9 terms, over B_0 .. B_9
         b_diff = sum(math.comb(i + 1, j) * _BERNOULLI[i + 1 - j] * d**j for j in range(1, i + 2))
         # e_i (x^-i - a^-i), with x^-i - a^-i = -x^-i expm1(i ln(x/a))
         log_prod += (-1) ** i * b_diff / (i * (i + 1)) * x**-i * math.expm1(i * ln_ratio)

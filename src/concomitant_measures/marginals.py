@@ -48,10 +48,14 @@ __all__ = [
 
 _EULER = 0.5772156649015328606
 _LI2_HALF = 0.58224052646501250590  # dilogarithm Li2(1/2) = pi^2/12 - (log 2)^2/2
-# GeneralizedExponential's quantile takes its log form above this shape; at
-# and below it, the form 1 - u^(1/lam) keeps the bits of the golden grid
+# GeneralizedExponential's quantile and pdf take their log forms above this
+# shape; at and below it, the plain forms keep the bits of the golden grid
 # (lam <= 1.5) and of the benchmark's inputs (lam <= 2.5)
 _GENEXP_LOG_QUANTILE_LAM = 4.0
+# ln 2, and ln 2 = _LN2_HI + _LN2_LO to 1e-26 with k _LN2_HI exact for
+# |k| < 2^21 (fdlibm's split), for GeneralizedExponential's pdf
+_LN2 = math.log(2.0)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 class SpecFormatError(ValueError):
@@ -278,8 +282,24 @@ class GeneralizedExponential(MarginalFamily):
 
     def _pdf(self, y):
         t = self.theta * np.maximum(y, 0.0)
-        base = np.where(t > 0.0, -np.expm1(-t), 1.0)  # dummy 1 where masked out below
-        val = self.lam * self.theta * np.exp(-t) * base ** (self.lam - 1.0)
+        if self.lam > _GENEXP_LOG_QUANTILE_LAM:
+            # base = 1 - e^-t rounds to 1 near the mode, and base^(lam - 1)
+            # with it.  So f = exp(log(lam theta) - t + (lam - 1) log(base)),
+            # with log(base) as log1p(-e^-t) above t = ln 2 and as
+            # log(-expm1(-t)) below (Maechler 2012), each on clipped input,
+            # and log(lam theta) - t as (k ln 2 - t) + log(mu nu) for
+            # lam theta = mu nu 2^k: near the mode t ~ log(lam theta),
+            # rounding log(lam theta) would cost up to 2^10 eps
+            s = np.where(t > 0.0, t, 1.0)  # dummy 1 where masked out below
+            far, near = np.maximum(s, _LN2), np.minimum(s, _LN2)
+            log_base = np.where(s > _LN2, np.log1p(-np.exp(-far)), np.log(-np.expm1(-near)))
+            (mu, i), (nu, j) = math.frexp(self.lam), math.frexp(self.theta)
+            log_scale = (i + j) * _LN2_LO + math.log(mu * nu)
+            with np.errstate(over="ignore"):  # (lam - 1) log(base) = -inf gives f = 0
+                val = np.exp(((i + j) * _LN2_HI - s) + log_scale + (self.lam - 1.0) * log_base)
+        else:
+            base = np.where(t > 0.0, -np.expm1(-t), 1.0)  # dummy 1 where masked out below
+            val = self.lam * self.theta * np.exp(-t) * base ** (self.lam - 1.0)
         return np.where(y > 0.0, val, 0.0)
 
     def _cdf(self, y):

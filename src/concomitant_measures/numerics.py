@@ -231,6 +231,20 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
 # Recurrence shift to x >= 10, where the first omitted terms of the de Moivre
 # series (Bernoulli-number coefficients) are below 1e-16: a few ulps.
 
+# Bernoulli numbers B_0 .. B_14 (fgm._c_star_gamma_ratio reads B_0 .. B_9)
+_BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6)
+# B_2k / 2k and B_2k for k = 1 .. 7: the series of digamma and trigamma in 1/x^2
+_DIGAMMA_SERIES = tuple(_BERNOULLI[2 * k] / (2 * k) for k in range(1, 8))
+_TRIGAMMA_SERIES = _BERNOULLI[2::2]
+
+
+def _horner(coeffs: tuple[float, ...], t: float) -> float:
+    """sum_k coeffs[k] t^k."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
 
 def digamma(x: float) -> float:
     """psi(x) = d/dx log Gamma(x) for x > 0."""
@@ -241,20 +255,7 @@ def digamma(x: float) -> float:
         acc -= 1.0 / x
         x += 1.0
     inv2 = 1.0 / (x * x)
-    series = inv2 * (
-        1.0 / 12.0
-        - inv2 * (
-            1.0 / 120.0
-            - inv2 * (
-                1.0 / 252.0
-                - inv2 * (
-                    1.0 / 240.0
-                    - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))
-                )
-            )
-        )
-    )
-    return acc + math.log(x) - 0.5 / x - series
+    return acc + math.log(x) - 0.5 / x - inv2 * _horner(_DIGAMMA_SERIES, inv2)
 
 
 def trigamma(x: float) -> float:
@@ -266,27 +267,7 @@ def trigamma(x: float) -> float:
         acc += 1.0 / (x * x)
         x += 1.0
     inv = 1.0 / x
-    inv2 = inv * inv
-    series = inv * (
-        1.0
-        + inv * (
-            0.5
-            + inv * (
-                1.0 / 6.0
-                - inv2 * (
-                    1.0 / 30.0
-                    - inv2 * (
-                        1.0 / 42.0
-                        - inv2 * (
-                            1.0 / 30.0
-                            - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * 7.0 / 6.0))
-                        )
-                    )
-                )
-            )
-        )
-    )
-    return acc + series
+    return acc + inv * (1.0 + inv * (0.5 + inv * _horner(_TRIGAMMA_SERIES, inv * inv)))
 
 
 # --- seedable uniform streams -------------------------------------------------
@@ -485,7 +466,10 @@ class RngStream:
     def substream(self, index: int) -> "RngStream":
         """Child stream ``index``; the mapping (seed, stream_id, index) -> sequence
         is fixed, independent of draw order or worker layout."""
-        return RngStream(self.seed, self.stream_id, _key=self._key + (int(index),))
+        index = _as_int("index", index)
+        if index < 0:
+            raise ValueError(f"index must be a non-negative integer, got {index}")
+        return RngStream(self.seed, self.stream_id, _key=self._key + (index,))
 
     @functools.cached_property
     def _block_seeding(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -535,6 +519,7 @@ class RngStream:
         if not (out.ndim == 2 and out.dtype == np.float64 and out.flags.c_contiguous):
             raise ValueError(f"out must be a 2-d C-contiguous float64 array, got {out.dtype} {out.shape}")
         rows, n = out.shape
+        start = _as_int("start", start)
         if not 0 <= start <= 2**32 - rows:
             raise ValueError(f"need 0 <= start and start + rows <= 2**32, got start={start}, rows={rows}")
         if not out.size:

@@ -236,6 +236,15 @@ class TestQuantileForm:
         res = quantile_form_inaccuracy(model(InverseWeibull(1e-300, 1.2), 0.5), order_statistics(1, 3))
         assert abs(res.value - -689.0923131937782) <= res.abs_error_estimate
 
+    @pytest.mark.parametrize("lam", [1e6, 1e12, 1e300])
+    def test_genexp_at_large_shape_within_its_bound(self, lam):
+        # the pdf lost its factor (1 - e^-t)^(lam - 1) near the mode: at lam
+        # = 1e300 the route returned 0.40393 +/- 3.5e-11, and at 1e12 it raised
+        m = model(GeneralizedExponential(1.0, lam), 0.5)
+        res = quantile_form_inaccuracy(m, order_statistics(1, 3))
+        closed = inaccuracy_gos(m, order_statistics(1, 3))
+        assert abs(res.value - closed.value) <= res.abs_error_estimate
+
 
 @pytest.mark.parametrize("route", [reversed_inaccuracy, quantile_form_inaccuracy])
 def test_exhausted_budget_raises_even_with_a_tight_best_estimate(monkeypatch, route):

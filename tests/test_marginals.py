@@ -278,6 +278,43 @@ class TestGenExpQuantileAtLargeShape:
         assert np.array_equal(in_place.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.3, 7.0, 1e-300, 1e300])
+@pytest.mark.parametrize("lam", [lam for lam, _ in GENEXP_LARGE_LAM], ids=repr)
+def test_genexp_pdf_at_large_shape(theta, lam):
+    # f = lam theta e^-t (1 - e^-t)^(lam - 1), t = theta y, where 1 - e^-t
+    # rounds to 1 near the mode.  log f sums log theta, log lam - t and
+    # (lam - 1) log(1 - e^-t), so the relative error allowed is 8 eps times
+    # 1 + |log f| + |log theta|, plus half the subnormal spacing; the
+    # reference takes t as the double theta y that the kernel forms
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    log_lam = math.log(lam)
+    t = np.concatenate([np.logspace(-300, 0, 40), np.linspace(0.05, log_lam + 40.0, 200),
+                        [log_lam - 1.0, log_lam, log_lam + 1.0, 800.0, 1e4]])
+    y = t / theta
+    y = y[y > 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = GeneralizedExponential(theta, lam).pdf(y)
+    with mp.workdps(50):
+        for yi, fi in zip(y, f):
+            ti = mp.mpf(theta * yi)
+            log_base = mp.log1p(-mp.exp(-ti)) if ti > mp.log(2) else mp.log(-mp.expm1(-ti))
+            log_f = mp.log(lam) + mp.log(theta) - ti + (lam - 1) * log_base
+            ref = mp.exp(log_f)
+            allowed = 8 * eps * (1 + abs(log_f) + abs(mp.log(theta))) * ref + mp.ldexp(1, -1075)
+            assert abs(fi - ref) <= allowed, (yi, fi, float(ref))
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.5, 4.0])
+def test_genexp_pdf_keeps_the_power_form_up_to_4(lam):
+    # at and below lam = 4 the pdf keeps the bits of the golden grid
+    y = np.concatenate([np.logspace(-300, 3, 500), [0.0, -1.0, np.inf]])
+    t = 0.7 * np.maximum(y, 0.0)
+    expected = np.where(y > 0.0, lam * 0.7 * np.exp(-t) * (-np.expm1(-t)) ** (lam - 1.0), 0.0)
+    assert np.array_equal(GeneralizedExponential(0.7, lam).pdf(y), expected)
+
+
 class TestFunctionalValues:
     def test_entropy_values(self):
         assert Exponential(1.0).shannon_entropy() == pytest.approx(1.0)

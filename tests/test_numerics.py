@@ -317,6 +317,25 @@ class TestPsi:
                 1.0, trigamma(x)
             )
 
+    def test_against_mpmath(self):
+        # a log grid over the whole range, the zero of psi and the points
+        # around the recurrence's switch to the series at x = 10
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        xs = [*np.logspace(-3, 300, 4008), 0.5, 1.0, 1.4616321449683622, 1.5, 2.0, 2.5, 3.0, 10.0 - 1e-6, 10.0]
+        worst_psi = worst_psi1 = 0.0
+        with mp.workdps(40):
+            for x in map(float, xs):
+                psi, psi1 = mp.digamma(x), mp.psi(1, x)
+                worst_psi = max(worst_psi, float(abs(digamma(x) - psi) / max(1, abs(psi))) / eps)
+                worst_psi1 = max(worst_psi1, float(abs(trigamma(x) - psi1) / psi1) / eps)
+        assert worst_psi <= 6.0 and worst_psi1 <= 6.0, (worst_psi, worst_psi1)
+
+    def test_bernoulli_table(self):
+        # B_0 .. B_14 (B_1 = -1/2), each the double nearest the exact value
+        mp = pytest.importorskip("mpmath")
+        assert numerics._BERNOULLI == tuple(float(mp.bernoulli(k)) for k in range(15))
+
 
 class TestRngStream:
     def test_determinism(self):
@@ -365,6 +384,20 @@ class TestRngStream:
         a, b = RngStream(np.uint64(2**63 + 5), np.int32(7)), RngStream(2**63 + 5, 7)
         assert (type(a.seed), type(a.stream_id)) == (int, int)
         assert _same_bits(a.uniforms(100), b.uniforms(100))
+
+    @pytest.mark.parametrize("index", [2.5, 2.0, True, False, "2", np.float64(2.0)], ids=repr)
+    def test_non_integer_substream_index_rejected(self, index):
+        # int() truncated 2.5 to substream 2 and True to substream 1
+        with pytest.raises(ValueError, match=r"^index must be a non-negative integer, got "):
+            RngStream(1).substream(index)
+
+    def test_negative_substream_index_names_its_input(self):
+        with pytest.raises(ValueError, match=r"^index must be a non-negative integer, got -1$"):
+            RngStream(1).substream(-1)
+
+    def test_numpy_integer_substream_index(self):
+        for index in (np.uint8(7), np.int64(7), np.uint64(7)):
+            assert _same_bits(RngStream(1).substream(index).uniforms(50), RngStream(1).substream(7).uniforms(50))
 
     def test_substream_is_order_independent(self):
         s = RngStream(seed=99)
@@ -562,6 +595,22 @@ class TestBlockUniforms:
     def test_negative_start(self, n):
         for start in (-1, -(2**40)):
             self._check_rejected(RngStream(9, 2), start, np.full((3, n), np.nan), self.BAD_START)
+
+    @pytest.mark.parametrize("n", [20, 4000])
+    @pytest.mark.parametrize("start", [1.5, 1.0, True, "1", np.float64(1.0)], ids=repr)
+    def test_non_integer_start_rejected(self, n, start):
+        # rows were filled from int(start): 1 for 1.5 and True
+        message = r"^start must be a non-negative integer, got "
+        self._check_rejected(RngStream(9, 2), start, np.full((3, n), np.nan), message)
+
+    @pytest.mark.parametrize("n", [20, 4000])
+    def test_numpy_integer_start(self, n):
+        expected = np.empty((3, n))
+        RngStream(9, 2).block_uniforms(5, expected)
+        for start in (np.uint8(5), np.int64(5), np.uint64(5)):
+            out = np.full((3, n), np.nan)
+            RngStream(9, 2).block_uniforms(start, out)
+            assert _same_bits(out, expected)
 
     def test_no_floating_point_or_overflow_warnings(self):
         # uint64 arithmetic wraps silently on arrays, not on numpy scalars;
