@@ -242,16 +242,7 @@ def sample_joint(model: FgmModel, stream: RngStream, size: int):
 
 def sample_concomitant(model: FgmModel, p: GosParams, stream: RngStream, size: int):
     """Draw ``size`` values from the concomitant law of the r-th GOS by direct
-    cdf inversion, as an array.
-
-    Supported for ordinary order statistics (m=0, k=1) and upper records
-    (m=-1, k=1); other (m, k) raise.  The analytic pdf/cdf cover general
-    parameters for measure computation without sampling.
-    """
-    if not (p.is_order_statistics() or p.is_record()):
-        raise ValueError(
-            f"sampling supports order statistics (m=0, k=1) and records (m=-1, k=1); got {p!r}"
-        )
+    cdf inversion of :func:`concomitant_cdf`, as an array."""
     u = stream.uniforms(size)
     return model.marginal_y.quantile(_invert_tilted_uniform(model.alpha * c_star(p), u))
 

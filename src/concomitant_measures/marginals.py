@@ -48,12 +48,12 @@ __all__ = [
 
 _EULER = 0.5772156649015328606
 _LI2_HALF = 0.58224052646501250590  # dilogarithm Li2(1/2) = pi^2/12 - (log 2)^2/2
-# GeneralizedExponential's quantile and pdf take their log forms above this
-# shape; at and below it, the plain forms keep the bits of the golden grid
-# (lam <= 1.5) and of the benchmark's inputs (lam <= 2.5)
-_GENEXP_LOG_QUANTILE_LAM = 4.0
+# GeneralizedExponential's pdf, cdf, log F and quantile take their log forms
+# above this shape; at and below it, the plain forms keep the bits of the
+# golden grid (lam <= 1.5) and of the benchmark's inputs (lam <= 2.5)
+_GENEXP_LOG_FORM_LAM = 4.0
 # ln 2, and ln 2 = _LN2_HI + _LN2_LO to 1e-26 with k _LN2_HI exact for
-# |k| < 2^21 (fdlibm's split), for GeneralizedExponential's pdf
+# |k| < 2^21 (fdlibm's split), for GeneralizedExponential's log forms
 _LN2 = math.log(2.0)
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
@@ -66,6 +66,14 @@ def _safe_log(x):
     """log x, floored so that x = 0 gives a finite log for its zero weight to
     cancel."""
     return np.log(np.maximum(x, 1e-300))
+
+
+def _log1mexp(t):
+    """log(1 - e^-t) for t >= 0: log1p(-e^-t) above t = ln 2 and
+    log(-expm1(-t)) at and below it (Maechler 2012), each on clipped input;
+    t = 0 is floored at the smallest subnormal."""
+    far, near = np.maximum(t, _LN2), np.clip(t, 2.0**-1074, _LN2)
+    return np.where(t > _LN2, np.log1p(-np.exp(-far)), np.log(-np.expm1(-near)))
 
 
 def _log_product(a, b):
@@ -214,8 +222,8 @@ class Logistic(MarginalFamily):
         return out
 
     def _log_cdf(self, y):
-        # -log(1 + e^(-y)), stable on both tails
-        return np.where(y >= 0.0, -np.log1p(np.exp(-np.abs(y))), y - np.log1p(np.exp(-np.abs(y))))
+        t = np.log1p(np.exp(-np.abs(y)))  # -log(1 + e^(-y)), stable on both tails
+        return np.where(y >= 0.0, -t, y - t)
 
     def shannon_entropy(self):
         return 1.0
@@ -282,32 +290,29 @@ class GeneralizedExponential(MarginalFamily):
 
     def _pdf(self, y):
         t = self.theta * np.maximum(y, 0.0)
-        if self.lam > _GENEXP_LOG_QUANTILE_LAM:
+        if self.lam > _GENEXP_LOG_FORM_LAM:
             # base = 1 - e^-t rounds to 1 near the mode, and base^(lam - 1)
             # with it.  So f = exp(log(lam theta) - t + (lam - 1) log(base)),
-            # with log(base) as log1p(-e^-t) above t = ln 2 and as
-            # log(-expm1(-t)) below (Maechler 2012), each on clipped input,
-            # and log(lam theta) - t as (k ln 2 - t) + log(mu nu) for
+            # with log(lam theta) - t as (k ln 2 - t) + log(mu nu) for
             # lam theta = mu nu 2^k: near the mode t ~ log(lam theta),
             # rounding log(lam theta) would cost up to 2^10 eps
-            s = np.where(t > 0.0, t, 1.0)  # dummy 1 where masked out below
-            far, near = np.maximum(s, _LN2), np.minimum(s, _LN2)
-            log_base = np.where(s > _LN2, np.log1p(-np.exp(-far)), np.log(-np.expm1(-near)))
             (mu, i), (nu, j) = math.frexp(self.lam), math.frexp(self.theta)
             log_scale = (i + j) * _LN2_LO + math.log(mu * nu)
             with np.errstate(over="ignore"):  # (lam - 1) log(base) = -inf gives f = 0
-                val = np.exp(((i + j) * _LN2_HI - s) + log_scale + (self.lam - 1.0) * log_base)
+                val = np.exp(((i + j) * _LN2_HI - t) + log_scale + (self.lam - 1.0) * _log1mexp(t))
         else:
             base = np.where(t > 0.0, -np.expm1(-t), 1.0)  # dummy 1 where masked out below
             val = self.lam * self.theta * np.exp(-t) * base ** (self.lam - 1.0)
         return np.where(y > 0.0, val, 0.0)
 
     def _cdf(self, y):
+        if self.lam > _GENEXP_LOG_FORM_LAM:
+            return np.exp(self._log_cdf(y))  # base**lam loses the left tail with base
         base = -np.expm1(-self.theta * np.maximum(y, 0.0))
         return np.where(y > 0.0, base**self.lam, 0.0)
 
     def _quantile(self, u, out):
-        if self.lam > _GENEXP_LOG_QUANTILE_LAM:
+        if self.lam > _GENEXP_LOG_FORM_LAM:
             # -log(1 - x) with x = u^(1/lam); where x > 1/2, 1 - x cancels, so
             # take log(1 - x) as log(-expm1(a)), a = log(u) / lam (Maechler
             # 2012), and where a is tiny, as log(-a) = log(-log u) - log lam,
@@ -328,7 +333,12 @@ class GeneralizedExponential(MarginalFamily):
 
     def _log_cdf(self, y):
         t = self.theta * np.maximum(y, 0.0)  # lam log(base), where base**lam underflows
-        return np.where(y > 0.0, self.lam * _safe_log(-np.expm1(-t)), -np.inf)
+        if self.lam > _GENEXP_LOG_FORM_LAM:
+            with np.errstate(over="ignore"):  # lam log(base) = -inf gives F = 0
+                val = self.lam * _log1mexp(t)
+        else:
+            val = self.lam * _safe_log(-np.expm1(-t))
+        return np.where(y > 0.0, val, -np.inf)
 
     def shannon_entropy(self):
         B = digamma(self.lam + 1.0) + _EULER

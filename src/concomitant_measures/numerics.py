@@ -42,51 +42,37 @@ __all__ = [
     "RngStream",
 ]
 
-# 15-point Kronrod abscissae on [-1, 1] (odd-indexed entries are the embedded
-# 7-point Gauss nodes) and the two weight sets.
-_XGK = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
+# QUADPACK's qk15 half tables on [-1, 1], largest abscissa first: the 8
+# non-negative Kronrod abscissae (odd-indexed ones, here and in the full
+# table, are the 7-point Gauss nodes), their Kronrod weights and the 4 Gauss
+# weights.  Each full table is its half mirrored about the centre, negated on
+# the left for the abscissae; the centre is the half table's last entry, so
+# the centre node stays +0.0.
+_XGK, _WGK, _WG = (
+    np.concatenate((sign * np.array(half[:-1]), half[::-1]))
+    for sign, half in (
+        (-1.0, (0.991455371120812639206854697526329,
+                0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926,
+                0.741531185599394439863864773280788,
+                0.586087235467691130294144838258730,
+                0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245,
+                0.0)),
+        (1.0, (0.022935322010529224963732008058970,
+               0.063092092629978553290700663189204,
+               0.104790010322250183839876322541518,
+               0.140653259715525918745189590510238,
+               0.169004726639267902826583426598550,
+               0.190350578064785409913256402421014,
+               0.204432940075298892414161999234649,
+               0.209482141084727828012999174891714)),
+        (1.0, (0.129484966168869693270611432679082,
+               0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975,
+               0.417959183673469387755102040816327)),
+    )
+)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,14 @@ class TestDecomposition:
                 b = cpi_gos(model(m, alpha), p, method="quadrature")
                 assert a.value == pytest.approx(b.value, rel=1e-8)
 
+    @pytest.mark.parametrize("lam", [1e6, 1e12])
+    def test_genexp_quadrature_at_large_shape_within_its_bound(self, lam):
+        # log F rounded to 0 where 1 - e^-t rounds to 1: at lam = 1e12 the
+        # route returned 0 +/- 0, and at 1e6 it raised
+        m, p = model(GeneralizedExponential(1.0, lam), 0.5), order_statistics(1, 3)
+        res = cpi_gos(m, p, method="quadrature")
+        assert abs(res.value - cpi_gos(m, p).value) <= res.abs_error_estimate
+
     def test_record_reduction(self):
         for m in FAMILIES:
             ce, ce2 = m.cumulative_entropy(), m.cumulative_entropy_max2()
@@ -201,6 +209,13 @@ class TestReversedCpi:
         # independent 30-digit quadrature of CE - Int F log(1 + c(1 - F)) dy
         res = reversed_cpi(model(InverseWeibull(1.1, 2.0), 0.5), order_statistics(1, 4))
         assert res.value == pytest.approx(0.7403087059602023, rel=1e-9)
+
+    def test_genexp_at_large_shape(self):
+        # CE - Int F log(1 + c (1 - F)) dy in 40-digit mpmath, the integral
+        # split about the mass near y = log lam; the route returned CE alone,
+        # 0.9999999999995 +/- 0, while the cdf rounded to 1 there
+        res = reversed_cpi(model(GeneralizedExponential(1.0, 1e12), 0.5), order_statistics(1, 3))
+        assert abs(res.value - 0.83491766223264888) <= res.abs_error_estimate
 
     def test_every_family_finite_at_nonzero_tilt(self):
         for m in FAMILIES:

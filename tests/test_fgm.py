@@ -505,11 +505,25 @@ class TestSamplers:
         sd = math.sqrt(second - mean**2)
         assert y.mean() == pytest.approx(mean, abs=3.0 * sd / math.sqrt(n))
 
-    def test_unsupported_configuration(self):
-        m = Uniform(1.0)
-        model = FgmModel(m, m, 0.5)
-        with pytest.raises(ValueError, match="order statistics.*records"):
-            sample_concomitant(model, GosParams(2, 5, 1.0, 2.0), RngStream(0), 1)
+    @pytest.mark.parametrize("p, alpha", [(GosParams(2, 5, 1.0, 2.0), 1.0), (GosParams(2, 4, -0.5, 1.5), -1.0),
+                                          (GosParams(3, 7, 2.0, 0.5), 0.7)], ids=repr)
+    def test_general_gos_concomitant_matches_independent_draws(self, p, alpha):
+        # Y_[r] drawn without the concomitant cdf: X_(r) by Kamps's
+        # representation 1 - F(X_(r)) = prod_{j <= r} B_j, B_j ~ Beta(gamma_j, 1),
+        # then Y given X from the FGM conditional.  Its KS distance to the
+        # concomitant cdf the sampler inverts must be within the 1 % value
+        m = Exponential(1.0)
+        model = FgmModel(m, m, alpha)
+        n = 100_000
+        rng = np.random.default_rng(2024)
+        survival = np.prod([rng.beta(p.gamma(j), 1.0, n) for j in range(1, p.r + 1)], axis=0)
+        a = alpha * (1.0 - 2.0 * (1.0 - survival))
+        y = m.quantile(_invert_tilted_uniform(a, rng.uniform(size=n)))
+        assert ks_statistic(y, lambda t: concomitant_cdf(model, p, t)) < ks_critical_value(n)
+        # and the sampler inverts that cdf on the stream's uniforms
+        u = RngStream(9).uniforms(n)
+        expected = m.quantile(_invert_tilted_uniform(alpha * c_star(p), u))
+        assert sample_concomitant(model, p, RngStream(9), n).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed, size", [(42, 1), (2**33, 1000)])
     def test_draws_match_generator_stream(self, seed, size):

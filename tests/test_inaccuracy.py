@@ -76,6 +76,13 @@ class TestDecomposition:
                 assert b.method == "quadrature"
                 assert a.value == pytest.approx(b.value, rel=1e-8)
 
+    def test_genexp_quadrature_at_large_shape_within_its_bound(self):
+        # the cdf rounded to 1 where 1 - e^-t does: at lam = 1e12 the route
+        # raised after 59,985 evaluations
+        m, p = model(GeneralizedExponential(1.0, 1e12), 0.5), order_statistics(1, 3)
+        res = inaccuracy_gos(m, p, method="quadrature")
+        assert abs(res.value - inaccuracy_gos(m, p).value) <= res.abs_error_estimate
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             inaccuracy_gos(model(Uniform(1.0), 0.5), order_statistics(1, 2), method="series")

@@ -173,6 +173,15 @@ def test_log_cdf_is_log_of_cdf_bit_for_bit(cls, scale):
     assert np.array_equal(got, ref, equal_nan=True)
 
 
+def test_logistic_log_cdf_on_both_tails():
+    # log F = -log(1 + e^-y) on either side of 0, against mpmath
+    mp = pytest.importorskip("mpmath")
+    y = np.concatenate([-np.logspace(3, -300, 80), [0.0], np.logspace(-300, 3, 80)])
+    with mp.workdps(50):
+        ref = [float(-mp.log1p(mp.exp(-mp.mpf(v)))) for v in y]
+    np.testing.assert_allclose(Logistic().log_cdf(y), ref, rtol=2 * np.finfo(float).eps, atol=0.0)
+
+
 KERNELS = ("pdf", "cdf", "log_cdf", "quantile")
 
 
@@ -236,7 +245,7 @@ class TestKernelBoundary:
         assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
 
 
-# shapes above _GENEXP_LOG_QUANTILE_LAM = 4, with the relative error allowed
+# shapes above _GENEXP_LOG_FORM_LAM = 4, with the relative error allowed
 # against mpmath: below lam ~ 1e3 the rounding of log(u) / lam (or of 1 / lam)
 # costs up to |log(u) / lam| ulps as u -> 0; from there on a few ulps
 GENEXP_LARGE_LAM = [(4.000000000000001, 1.2e-14), (5.0, 1.2e-14), (16.0, 1.2e-14), (100.0, 1.2e-14),
@@ -313,6 +322,43 @@ def test_genexp_pdf_keeps_the_power_form_up_to_4(lam):
     t = 0.7 * np.maximum(y, 0.0)
     expected = np.where(y > 0.0, lam * 0.7 * np.exp(-t) * (-np.expm1(-t)) ** (lam - 1.0), 0.0)
     assert np.array_equal(GeneralizedExponential(0.7, lam).pdf(y), expected)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 7.0])
+@pytest.mark.parametrize("lam", [4.000000000000001, 5.0, 1e3, 1e6, 1e12, 1e100, 1e300, 1.7976931348623157e308],
+                         ids=repr)
+def test_genexp_cdf_at_large_shape(theta, lam):
+    # log F = lam log(1 - e^-t), t = theta y, where 1 - e^-t rounds to 1 in
+    # the left tail.  log F is allowed 4 eps relative plus lam times the
+    # smallest subnormal, which e^-t underflows to; F = exp(log F) is allowed
+    # 4 eps (1 + |log F|) relative plus the smallest subnormal.  The
+    # reference takes t as the double theta y that the kernel forms
+    mp = pytest.importorskip("mpmath")
+    eps, tiny = np.finfo(float).eps, 2.0**-1074
+    y = np.concatenate([np.logspace(-300, 3, 300), np.linspace(680.0, 800.0, 121), [40.0, 690.0]])
+    m = GeneralizedExponential(theta, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_F, F = m.log_cdf(y), m.cdf(y)
+    with mp.workdps(50):
+        for yi, lf, fi in zip(y, log_F, F):
+            ti = mp.mpf(theta * yi)
+            ref = lam * (mp.log1p(-mp.exp(-ti)) if ti > 1 else mp.log(-mp.expm1(-ti)))
+            if ref < -np.finfo(float).max:
+                assert lf == -math.inf and fi == 0.0, (yi, lf, fi)
+                continue
+            assert abs(lf - ref) <= 4 * eps * abs(ref) + lam * tiny, (yi, lf, float(ref))
+            assert abs(fi - mp.exp(ref)) <= 4 * eps * (1 + abs(ref)) * mp.exp(ref) + tiny, (yi, fi, float(ref))
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.5, 4.0])
+def test_genexp_cdf_keeps_the_power_form_up_to_4(lam):
+    # at and below lam = 4 the cdf and log F keep the bits of the golden grid
+    y = np.concatenate([np.logspace(-300, 3, 500), np.linspace(680.0, 800.0, 121), [0.0, -1.0, np.inf]])
+    base = -np.expm1(-0.7 * np.maximum(y, 0.0))
+    m = GeneralizedExponential(0.7, lam)
+    assert np.array_equal(m.cdf(y), np.where(y > 0.0, base**lam, 0.0))
+    assert np.array_equal(m.log_cdf(y), np.where(y > 0.0, lam * np.log(np.maximum(base, 1e-300)), -np.inf))
 
 
 class TestFunctionalValues:

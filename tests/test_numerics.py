@@ -22,6 +22,8 @@ from concomitant_measures.empirical import mc_validate
 from concomitant_measures.fgm import record_value
 from concomitant_measures.marginals import Exponential, InverseWeibull, log_cdf_integral
 from concomitant_measures.numerics import (
+    _WG,
+    _WGK,
     _XGK,
     MeasureResult,
     QuadratureError,
@@ -48,6 +50,26 @@ class TestIntegrate:
     def test_takes_no_options(self):
         assert list(inspect.signature(integrate).parameters) == ["f", "lo", "hi"]
         assert (numerics._REL_TOL, numerics._ABS_TOL, numerics._MAX_INTERVALS) == (1e-10, 1e-12, 2000)
+
+    def test_g7_k15_tables_meet_the_rule_s_definition(self):
+        # in 40-digit mpmath on the double tables: K15 integrates x^k over
+        # [-1, 1] through k = 22 and G7, on the odd-indexed nodes, through
+        # k = 13, each within 1 eps; each misses the next even power, which
+        # shows that the nodes are paired with the right weights
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+
+        def error(nodes, weights, k):
+            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else 0
+            return abs(mp.fsum(mp.mpf(w) * mp.mpf(x) ** k for x, w in zip(nodes, weights)) - exact)
+
+        # mirrored about a +0.0 centre
+        assert np.array_equal(_XGK, -_XGK[::-1]) and np.array_equal(np.signbit(_XGK), np.arange(15) < 7)
+        assert np.array_equal(_WGK, _WGK[::-1]) and np.array_equal(_WG, _WG[::-1])
+        with mp.workdps(40):
+            assert max(error(_XGK, _WGK, k) for k in range(23)) <= eps
+            assert max(error(_XGK[1::2], _WG, k) for k in range(14)) <= eps
+            assert error(_XGK, _WGK, 24) > 1e-9 and error(_XGK[1::2], _WG, 14) > 1e-5
 
     def test_results_are_measure_records(self, monkeypatch):
         res = integrate(lambda u: u, 0.0, 1.0)
