@@ -141,9 +141,11 @@ def _uniform_moments(n: int, coeff, scale: float):
     # spacings of a uniform(0, scale) sample ~ scale * Beta(1, n), treated as
     # independent for the variance (see module docstring)
     w = _estimator_weights(n, coeff)
-    # scale**2 raises OverflowError before the mean can overflow with a warning
-    var = scale**2 * n / ((n + 1) ** 2 * (n + 2)) * (w**2).sum(axis=-1)
-    return scale * w.sum(axis=-1) / (n + 1), var
+    # the scale comes last, so each moment is finite wherever its value is,
+    # and a variance past the float range is inf without a warning
+    with np.errstate(over="ignore"):
+        var = n / ((n + 1) ** 2 * (n + 2)) * (w**2).sum(axis=-1) * scale * scale
+    return w.sum(axis=-1) / (n + 1) * scale, var
 
 
 def moments_mtbged(n: int, theta2: float, alpha: float, r: int) -> tuple[float, float]:

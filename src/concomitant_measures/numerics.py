@@ -134,13 +134,13 @@ def _panels(evaluate: Callable, bounds: list[tuple[float, float]]) -> list[tuple
     with np.errstate(all="ignore"):  # non-finite output is caught explicitly below
         y, fy, fx = evaluate(x)
     if not (np.isfinite(fy).all() and (fx is fy or np.isfinite(fx).all())):
-        # report the first bad node panel by panel, the integrand's own value
-        # before its mapped (Jacobian-weighted) one
+        # report the first bad node in y panel by panel, the integrand's own
+        # value before its mapped (Jacobian-weighted) one
         for i in range(len(bounds)):
-            for values, at in ((fy[i], y[i]), (fx[i], x[i])):
+            for values in (fy[i], fx[i]):
                 bad = ~np.isfinite(values)
                 if bad.any():
-                    raise QuadratureError(f"integrand returned a non-finite value at y={at[bad][0]!r}")
+                    raise QuadratureError(f"integrand returned a non-finite value at y={y[i][bad][0]!r}")
     return [_kronrod(row, h) for row, h in zip(fx, half)]
 
 
@@ -334,35 +334,31 @@ def _pcg64_block(words: np.ndarray, raw: np.ndarray) -> None:
     words of ``RngStream._seeds``.
 
     Column k of the (n, rows) state halves is the state of draw k, filled
-    by doubling: columns K..2K-1 are M^K times columns 0..K-1 plus C_K inc.
-    The low halves live in ``raw``'s memory until the outputs are copied
-    there, and the spare arrays span a quarter of the columns."""
+    by doubling: columns K..2K-1 are M^K times columns 0..K-1 plus C_K inc,
+    one array pass per level.  The low halves live in ``raw``'s memory until
+    the outputs are copied there; the two spare arrays span half the columns
+    each, and together hold the output rotation's right shift."""
     rows, n = raw.shape
     lo, hi = raw.reshape(n, rows), np.empty((n, rows), dtype=np.uint64)
-    cols = max(1, n // 4)
-    spare = np.empty((2, cols, rows), dtype=np.uint64)
+    spare = np.empty((2, (n + 1) // 2, rows), dtype=np.uint64)
     s_h, s_l, q_h, q_l = words
     inc = (q_h << 1 | q_l >> 63, q_l << 1 | 1)
     mult, steps = _PCG64_FIRST
     _affine128(mult, (s_h, s_l), _affine128(steps, inc, (0, 0)), (hi[:1], lo[:1]), spare[:, :1])
     k = 1
     for mult, steps in _PCG64_JUMPS[: (n - 1).bit_length()]:
-        add = _affine128(steps, inc, (0, 0))
-        for a in range(0, min(k, n - k), cols):
-            b = min(a + cols, n - k, k)
-            _affine128(mult, (hi[a:b], lo[a:b]), add, (hi[k + a : k + b], lo[k + a : k + b]), spare[:, : b - a])
+        b = min(k, n - k)
+        _affine128(mult, (hi[:b], lo[:b]), _affine128(steps, inc, (0, 0)), (hi[k : k + b], lo[k : k + b]), spare[:, :b])
         k *= 2
     # each output is hi ^ lo rotated right by the top 6 bits of the state
-    for a in range(0, n, cols):
-        h, x = hi[a : a + cols], lo[a : a + cols]
-        right = spare[0, : len(h)]
-        x ^= h
-        h >>= 58
-        np.right_shift(x, h, out=right)
-        np.subtract(64, h, out=h)
-        h &= 63
-        np.left_shift(x, h, out=h)
-        h |= right
+    right = spare.reshape(-1)[: n * rows].reshape(n, rows)
+    lo ^= hi
+    hi >>= 58
+    np.right_shift(lo, hi, out=right)
+    np.subtract(64, hi, out=hi)
+    hi &= 63
+    np.left_shift(lo, hi, out=hi)
+    hi |= right
     np.copyto(raw, hi.T)
 
 

@@ -159,11 +159,12 @@ def integrate_per_panel(f, lo, hi, rel_tol=None, abs_tol=None, max_intervals=Non
             with np.errstate(all="ignore"):
                 y = _lo + t / wsafe
                 fy = np.asarray(_g(y), dtype=float)
-            if not np.all(np.isfinite(fy)):
-                bad = y[~np.isfinite(fy)][0]
-                raise QuadratureError(f"integrand returned a non-finite value at y={bad!r}")
-            with np.errstate(all="ignore"):
-                return np.where(dead, 0.0, fy / (wsafe * wsafe))
+                fx = np.where(dead, 0.0, fy / (wsafe * wsafe))
+            for values in (fy, fx):
+                if not np.all(np.isfinite(values)):
+                    bad = y[~np.isfinite(values)][0]
+                    raise QuadratureError(f"integrand returned a non-finite value at y={bad!r}")
+            return fx
 
         lo, hi = 0.0, 1.0
 

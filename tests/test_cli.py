@@ -599,7 +599,7 @@ class TestOutOfRange:
         ("measure --marginal rayleigh:sigma=1e200 --gos os:r=1,n=3 --alpha 0.5 --measure reversed_cpi",
          "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
         ("simulate --marginal uniform:theta=1e308 --gos record:r=2 --alpha 0.5 --n 10 --replicates 100",
-         "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
+         "cmeasure: arithmetic error: empirical_mean is out of floating-point range"),
         ("simulate --marginal exponential:theta=1e307 --gos record:r=2 --alpha 0.5 --n 10 --replicates 100",
          "cmeasure: arithmetic error: empirical_mean is out of floating-point range"),
     ])
@@ -611,7 +611,7 @@ class TestOutOfRange:
         assert run.stderr == message + "\n"
 
     @pytest.mark.parametrize("marginal, message", [
-        ("uniform:theta=1e308", "cmeasure: arithmetic error: (34, 'Numerical result out of range')"),
+        ("uniform:theta=1e308", "cmeasure: arithmetic error: empirical_mean is out of floating-point range"),
         ("exponential:theta=1e308", "cmeasure: arithmetic error: empirical_mean is out of floating-point range"),
     ])
     def test_pooled_simulate_exit_1(self, monkeypatch, capsys, marginal, message):
@@ -638,6 +638,19 @@ def test_uniform_near_float_max_prints_finite_cpi(capsys):
     assert record["method"] == "closed_form"
     assert math.isfinite(record["value"])
     assert record["value"] == pytest.approx(1e308 * (1.35 / 4.0 - 0.35 / 9.0), rel=1e-14)
+
+
+def test_uniform_scale_whose_square_overflows_simulates(capsys):
+    # the exact variance scales as theta^2 = 1e308, formed with the scale last
+    code, out, err = run_cli(
+        capsys, "simulate", "--marginal", "uniform:theta=1e154", "--gos", "record:r=2",
+        "--alpha", "0.5", "--n", "20", "--replicates", "100", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    [record] = json.loads(out)
+    assert all(math.isfinite(v) for v in record.values() if isinstance(v, float))
+    variance = 1e308 * empirical.moments_mtbud(20, 0.5, 2)[1]
+    assert record["theoretical_variance"] == pytest.approx(variance, rel=1e-14)
 
 
 @st.composite

@@ -243,6 +243,7 @@ class TestBatchedEvaluation:
         assert outcomes["nan_in_dead_zone"][0].endswith("y=np.float64(1.0)")
         # the message names the node in y, not in the mapped variable t
         assert float(outcomes["nan_at_mapped_node"][0].split("(")[-1].rstrip(")")) > 50.0
+        assert float(outcomes["jacobian_overflow"][0].split("(")[-1].rstrip(")")) > 1e4
         assert "divergent" in outcomes["divergent"][0]
         assert outcomes["budget_exhausted"][1] is not None
 
