@@ -340,7 +340,13 @@ def mc_validate(
             if error is not None:
                 raise error
     emp_mean = float(vals.mean())
-    emp_var = float(vals.var(ddof=1))
+    with np.errstate(over="ignore"):
+        emp_var = float(vals.var(ddof=1))
+    if not math.isfinite(emp_var) and np.isfinite(vals).all():
+        # the squared deviations overflow where the variance need not: take
+        # it of the values over their largest magnitude, and scale back
+        s = float(np.abs(vals).max())
+        emp_var = float((vals / s).var(ddof=1)) * s * s
     mo = theoretical_moments(marginal, p, alpha, n)
     theo_mean, theo_var = mo if mo is not None else (None, None)
     analytic = _cpi.cpi_gos(model, p).value

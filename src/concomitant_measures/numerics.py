@@ -6,11 +6,15 @@ with logarithmic (or mildly algebraic) endpoint singularities can be handed
 over directly; endpoints are never evaluated.  A semi-infinite upper limit is
 mapped to (0, 1) by the substitution y = lo + t/(1-t).
 
-Panels are refined one at a time in QUADPACK's order (largest error first);
-each bisection evaluates both halves in a single integrand call of 30 nodes,
-one row of 15 per half.  A non-finite value at any node raises
-:class:`QuadratureError` naming that node in y, the left half's nodes before
-the right half's.
+Panels are refined one at a time in QUADPACK's order (largest error first).
+The first bisection of a panel that is not evaluated yet evaluates its
+bisections ``_SUBTREE_DEPTH`` levels down (7 bisections, 14 panels of 15
+nodes) in a single integrand call; later bisections in that subtree reuse
+those panels, so values, error estimates, evaluation counts and messages
+are those of one call per panel, bit for bit.  A non-finite value at a node
+of a bisection the loop takes raises :class:`QuadratureError` naming that
+node in y, the left half's nodes before the right half's; one at a node
+evaluated ahead of need and never used raises nothing.
 
 ``integrate`` either meets its fixed tolerance, ``max(1e-12, 1e-10 *
 |integral|)``, within 2000 panels or raises; an exhausted budget raises with
@@ -18,7 +22,8 @@ the best estimate attached.  The one caller that accepts such an estimate is
 ``cpi.reversed_cpi``, a stopgap for heavy InverseWeibull tails.
 
 Integrands must be array-native: they take a 1-d numpy array of abscissae
-and return an array of the same shape.
+and return an array of the same shape.  A node's value may not depend on
+which other nodes share the call.
 """
 
 from __future__ import annotations
@@ -80,7 +85,10 @@ class MeasureResult:
     """A computed value, the route that produced it and its error bound.
 
     ``abs_error_estimate`` and ``evaluations`` (the integrand evaluations
-    behind the value, left out of the repr) are zero for closed forms.
+    the value rests on, left out of the repr) are zero for closed forms.
+    ``evaluations`` counts 15 nodes for the first panel and 30 per
+    bisection used, not the nodes :func:`integrate` evaluated ahead of need
+    and never used.
     """
 
     value: float
@@ -108,40 +116,50 @@ _ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 # integrate's tolerance, max(_ABS_TOL, _REL_TOL * |integral|), and its panel budget
 _REL_TOL, _ABS_TOL, _MAX_INTERVALS = 1e-10, 1e-12, 2000
 
-
-def _kronrod(fx: np.ndarray, half: float) -> tuple[float, float]:
-    """G7/K15 (integral, error estimate) of one panel of half-width ``half``
-    from the integrand at its 15 nodes."""
-    resk = float(_WGK @ fx)
-    resg = float(_WG @ fx[1::2])
-    resabs = float(_WGK @ np.abs(fx))
-    reskh = 0.5 * resk
-    resasc = float(_WGK @ np.abs(fx - reskh))
-    err = abs(resk - resg) * half
-    resasc *= half
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, _ROUNDOFF * resabs * half)
-    return resk * half, err
+# levels of a panel's bisection subtree that integrate evaluates in one
+# integrand call: 2^depth - 1 bisections (depth 1 is one call per bisection)
+_SUBTREE_DEPTH = 3
 
 
-def _panels(evaluate: Callable, bounds: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """:func:`_kronrod` of every panel (lo, hi) in ``bounds`` from a single
-    ``evaluate`` call on their nodes, one row of 15 per panel."""
+def _kronrod_rows(evaluate: Callable, bounds: list[tuple[float, float]]) -> list:
+    """G7/K15 (integral, error estimate) of every panel (lo, hi) in ``bounds``
+    from a single ``evaluate`` call on their nodes, one row of 15 per panel.
+
+    A panel with a non-finite value gets, in place of its pair, the
+    :class:`QuadratureError` naming its first such node in y: the
+    integrand's own value checked before its mapped (Jacobian-weighted) one.
+    """
+    # Python lists: a result takes its type from the bounds (np.float64
+    # bounds give np.float64 values and errors)
     half = [0.5 * (hi - lo) for lo, hi in bounds]
     mid = [0.5 * (hi + lo) for lo, hi in bounds]
     x = np.array(mid)[:, None] + np.array(half)[:, None] * _XGK
     with np.errstate(all="ignore"):  # non-finite output is caught explicitly below
         y, fy, fx = evaluate(x)
-    if not (np.isfinite(fy).all() and (fx is fy or np.isfinite(fx).all())):
-        # report the first bad node in y panel by panel, the integrand's own
-        # value before its mapped (Jacobian-weighted) one
-        for i in range(len(bounds)):
-            for values in (fy[i], fx[i]):
-                bad = ~np.isfinite(values)
-                if bad.any():
-                    raise QuadratureError(f"integrand returned a non-finite value at y={y[i][bad][0]!r}")
-    return [_kronrod(row, h) for row, h in zip(fx, half)]
+        # np.vecdot takes one BLAS ddot per row, the sum a 1-d `@` takes
+        resk = np.vecdot(fx, _WGK)
+        resg = np.vecdot(fx[:, 1::2], _WG)
+        resabs = np.vecdot(np.abs(fx), _WGK)
+        resasc = np.vecdot(np.abs(fx - 0.5 * resk[:, None]), _WGK)
+    finite = np.isfinite(fy).all(axis=1)
+    if fx is not fy:
+        finite &= np.isfinite(fx).all(axis=1)
+    rows = []
+    # per row in Python floats: np.power(x, 1.5) is not always x ** 1.5, and
+    # min/max keep their NaN rule
+    for i, (ok, k, g, a, s, h) in enumerate(zip(finite.tolist(), resk.tolist(), resg.tolist(),
+                                                resabs.tolist(), resasc.tolist(), half)):
+        if not ok:
+            values = fy[i] if not np.isfinite(fy[i]).all() else fx[i]
+            rows.append(QuadratureError(
+                f"integrand returned a non-finite value at y={y[i][~np.isfinite(values)][0]!r}"))
+            continue
+        err = abs(k - g) * h
+        s *= h
+        if s != 0.0 and err != 0.0:
+            err = s * min(1.0, (200.0 * err / s) ** 1.5)
+        rows.append((k * h, max(err, _ROUNDOFF * a * h)))
+    return rows
 
 
 def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
@@ -150,7 +168,9 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
     Stops once the summed panel error drops below
     ``max(_ABS_TOL, _REL_TOL * |integral|)``.  Raises :class:`QuadratureError`
     when the panel budget is exhausted (a growing estimate is flagged as
-    apparent divergence) or when the integrand produces NaN/inf at a node.
+    apparent divergence) or when the integrand produces NaN/inf at a node
+    the result would rest on.  ``f`` takes a 1-d array of nodes; a node's
+    value may not depend on which other nodes share the call.
     """
     if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
@@ -180,10 +200,15 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
             return x, fx, fx
 
     evals = 15
-    [(val, err)] = _panels(evaluate, [(lo, hi)])
+    [first] = _kronrod_rows(evaluate, [(lo, hi)])
+    if isinstance(first, QuadratureError):
+        raise first
+    val, err = first
     heap = [(-err, lo, hi, val, err)]
     total_val, total_err = val, err
     half_budget_val: float | None = None
+    # (lo, hi) -> _kronrod_rows' result for every panel evaluated so far
+    panels: dict[tuple[float, float], tuple[float, float] | QuadratureError] = {}
 
     while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
         if len(heap) >= _MAX_INTERVALS:
@@ -200,7 +225,18 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
             )
         _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = _panels(evaluate, [(a, m), (m, b)])
+        if (a, m) not in panels or (m, b) not in panels:
+            # this panel's bisections _SUBTREE_DEPTH levels down, in one call
+            level, bounds = [(a, b)], []
+            for _ in range(_SUBTREE_DEPTH):
+                level = [child for p, q in level for child in ((p, 0.5 * (p + q)), (0.5 * (p + q), q))]
+                bounds += level
+            panels.update(zip(bounds, _kronrod_rows(evaluate, bounds)))
+        halves = panels[a, m], panels[m, b]
+        for result in halves:
+            if isinstance(result, QuadratureError):
+                raise result
+        (v1, e1), (v2, e2) = halves
         evals += 30
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e

@@ -6,7 +6,9 @@
   coefficient alpha C*.
 - ``c_star_loop``: C* as the plain product loop over j = 1..r.
 - ``integrate_per_panel``: the adaptive G7/K15 scheme with one integrand call
-  per panel, the reference for the batched evaluation in ``numerics``.
+  per panel, the reference for the batched evaluation in ``numerics``;
+  ``kronrod_panel``, its rule on one panel, the reference for
+  ``numerics._kronrod_rows``.
 - ``GeneratorStream``: the uniform stream drawn through ``Generator.integers``,
   the reference for ``numerics.RngStream``.
 - ``mc_replicates_loop``: the Monte Carlo replicates one at a time, the
@@ -116,7 +118,9 @@ def c_star_loop(r: int, n: int, m: float, k: float) -> float:
     return 2.0 * prod - 1.0
 
 
-def _kronrod_panel(f, lo, hi):
+def kronrod_panel(f, lo, hi):
+    """G7/K15 (integral, error estimate) of one panel from one 15-node call
+    of ``f``, each sum a 1-d ``@``."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid + half * _XGK
@@ -169,7 +173,7 @@ def integrate_per_panel(f, lo, hi, rel_tol=None, abs_tol=None, max_intervals=Non
         lo, hi = 0.0, 1.0
 
     evals = 15
-    val, err = _kronrod_panel(f, lo, hi)
+    val, err = kronrod_panel(f, lo, hi)
     heap = [(-err, lo, hi, val, err)]
     total_val, total_err = val, err
     half_budget_val = None
@@ -189,8 +193,8 @@ def integrate_per_panel(f, lo, hi, rel_tol=None, abs_tol=None, max_intervals=Non
             )
         _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        v1, e1 = _kronrod_panel(f, a, m)
-        v2, e2 = _kronrod_panel(f, m, b)
+        v1, e1 = kronrod_panel(f, a, m)
+        v2, e2 = kronrod_panel(f, m, b)
         evals += 30
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e

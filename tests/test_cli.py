@@ -653,6 +653,17 @@ def test_uniform_scale_whose_square_overflows_simulates(capsys):
     assert record["theoretical_variance"] == pytest.approx(variance, rel=1e-14)
 
 
+def test_uniform_scale_whose_sample_variance_squares_past_the_range_simulates(capsys):
+    # the replicates' squared deviations overflow; their variance does not
+    code, out, err = run_cli(
+        capsys, "simulate", "--marginal", "uniform:theta=1e155", "--gos", "record:r=2",
+        "--alpha", "0.5", "--n", "20", "--replicates", "100", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    [record] = json.loads(out)
+    assert record["empirical_variance"] == pytest.approx(5.17288639591949e306, rel=1e-14)
+
+
 @st.composite
 def _number(draw):
     # a spec value token: mostly a positive double from the smallest

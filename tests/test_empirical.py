@@ -306,6 +306,16 @@ class TestCltDiagnostics:
 
 
 class TestMcValidate:
+    def test_variance_whose_squared_deviations_overflow_is_finite(self):
+        # the replicates scale with theta, so the variance at theta = 1e155
+        # is 100 times the one at 1e154: finite, though the squared
+        # deviations overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            var = mc_validate(Uniform(1e155), record_value(2), 0.5, 20, 100, RngStream(0)).empirical_variance
+        ref = mc_validate(Uniform(1e154), record_value(2), 0.5, 20, 100, RngStream(0)).empirical_variance
+        assert var == pytest.approx(100.0 * ref, rel=1e-14)
+
     def test_replicate_minimum(self):
         with pytest.raises(ValueError, match="replicates"):
             mc_validate(Uniform(1.0), record_value(2), -1.0, 10, 50, RngStream(0))

@@ -32,7 +32,7 @@ from concomitant_measures.numerics import (
     integrate,
     trigamma,
 )
-from oracles import GeneratorStream, integrate_per_panel
+from oracles import GeneratorStream, integrate_per_panel, kronrod_panel
 
 EULER = 0.5772156649015328606
 
@@ -186,6 +186,18 @@ def _nodes(lo, hi):
 # the first bisection of (0, 1): one node in each half
 _LEFT_NODE, _RIGHT_NODE = _nodes(0.0, 0.5)[3], _nodes(0.5, 1.0)[10]
 
+
+def _leftmost_panel(lo, hi, bisections):
+    """The leftmost panel ``bisections`` levels below (lo, hi)."""
+    for _ in range(bisections):
+        hi = 0.5 * (lo + hi)
+    return lo, hi
+
+
+# a node of the leftmost panel three bisections below (-1, 2.5), where the
+# "smooth" integrand bisects only twice: evaluated ahead of need, never used
+_UNUSED_NODE = _nodes(*_leftmost_panel(-1.0, 2.5, 3))[3]
+
 # (integrand factory, lo, hi, numerics constants to set for the case); a
 # factory because some integrands count their calls
 BATCHING_CORPUS = {
@@ -207,6 +219,9 @@ BATCHING_CORPUS = {
     "nan_at_mapped_node": (lambda: lambda y: np.where(y > 50.0, np.nan, np.exp(-y)), 0.0, math.inf, {}),
     "nan_in_dead_zone": (_nan_in_dead_zone, 0.0, math.inf, {}),
     "jacobian_overflow": (lambda: lambda y: np.full_like(y, 1e300), 0.0, math.inf, {}),
+    "nan_at_unused_node": (
+        lambda: lambda u: np.where(u == _UNUSED_NODE, np.nan, np.sin(3.0 * u) + np.exp(-u) * u), -1.0, 2.5, {}
+    ),
 }
 
 
@@ -226,9 +241,10 @@ def _same(a, b):
 
 
 class TestBatchedEvaluation:
-    """``integrate`` evaluates both halves of a bisection in one integrand
-    call; the sequential scheme with one call per panel is the reference,
-    and every result, error message and best estimate must equal it."""
+    """``integrate`` evaluates a panel's bisections a few levels deep in one
+    integrand call; the sequential scheme with one call per panel is the
+    reference, and every result, error message and best estimate must equal
+    it."""
 
     @pytest.mark.parametrize("name", sorted(BATCHING_CORPUS))
     def test_bitwise_equal_to_per_panel_reference(self, name):
@@ -261,6 +277,9 @@ class TestBatchedEvaluation:
 
     @pytest.mark.parametrize("name", ["smooth", "log_endpoint", "semi_infinite_shifted", "budget_exhausted"])
     def test_one_call_per_bisection(self, name):
+        # one call for the first panel, then one per subtree of at most
+        # 2^depth - 1 bisections, fewer calls than bisections; the count
+        # stays the sequential one
         factory, lo, hi, constants = BATCHING_CORPUS[name]
         inner = factory()
         sizes = []
@@ -272,8 +291,40 @@ class TestBatchedEvaluation:
 
         result = _outcome(integrate, lambda: f, lo, hi, constants)
         evaluations = result[1].evaluations if isinstance(result, tuple) else result.evaluations
-        assert len(sizes) == 1 + (evaluations - 15) // 30
-        assert sizes == [15] + [30] * (len(sizes) - 1)
+        bisections, rest = divmod(evaluations - 15, 30)
+        assert rest == 0 and bisections >= 2
+        assert sizes[0] == 15
+        assert all(size in range(30, 30 * 2**numerics._SUBTREE_DEPTH, 30) for size in sizes[1:])
+        assert len(sizes) - 1 < bisections
+
+    def test_nan_at_a_node_evaluated_ahead_of_need_does_not_raise(self):
+        factory, lo, hi, constants = BATCHING_CORPUS["nan_at_unused_node"]
+        inner = factory()
+        seen = []
+
+        def f(u):
+            seen.append(_UNUSED_NODE in u)
+            return inner(u)
+
+        result = _outcome(integrate, lambda: f, lo, hi, constants)
+        assert isinstance(result, MeasureResult) and result.evaluations == 75
+        assert any(seen)
+
+    def test_kronrod_edge_rows_equal_the_per_row_rule(self):
+        # (lo, hi, the integrand's 15 values); the np.float64 bounds must
+        # give np.float64 results, as the per-row rule does
+        rows = [
+            (0.0, 1.0, np.zeros(15)),
+            (0.0, 2.0, np.full(15, 3.25)),  # constant: resasc == 0
+            (-1.0, 1.0, np.full(15, 1e300)),
+            (0.0, 1.0, np.where(np.arange(15) % 2 == 0, 1e200, -1e200)),
+            (0.0, 1e-310, np.linspace(1.0, 2.0, 15)),  # subnormal half-width
+            (np.float64(0.25), np.float64(0.75), np.exp(_XGK)),
+        ]
+        values = np.array([fx for _, _, fx in rows])
+        batched = numerics._kronrod_rows(lambda x: (x, values, values), [(lo, hi) for lo, hi, _ in rows])
+        for (lo, hi, fx), result in zip(rows, batched):
+            assert _same(result, kronrod_panel(lambda x, fx=fx: fx, lo, hi))
 
 
 class TestPsi:
