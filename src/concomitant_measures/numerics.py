@@ -1,20 +1,25 @@
 """Shared numerical kernel: adaptive quadrature, psi functions, seedable RNG.
 
 The quadrature is a globally adaptive bisection scheme built on the embedded
-7-point Gauss / 15-point Kronrod pair.  All nodes are interior, so integrands
-with logarithmic (or mildly algebraic) endpoint singularities can be handed
-over directly; endpoints are never evaluated.  A semi-infinite upper limit is
-mapped to (0, 1) by the substitution y = lo + t/(1-t).
+7-point Gauss / 15-point Kronrod pair.  Its nodes are interior in exact
+arithmetic, so integrands with logarithmic (or mildly algebraic) endpoint
+singularities can be handed over directly; a node the loop takes can round
+onto an endpoint once an edge panel is about 100 ulps wide, one evaluated
+ahead of need never does.  A semi-infinite upper limit is mapped to (0, 1) by
+the substitution y = lo + t/(1-t).
 
 Panels are refined one at a time in QUADPACK's order (largest error first).
-The first bisection of a panel that is not evaluated yet evaluates its
-bisections ``_SUBTREE_DEPTH`` levels down (7 bisections, 14 panels of 15
-nodes) in a single integrand call; later bisections in that subtree reuse
-those panels, so values, error estimates, evaluation counts and messages
-are those of one call per panel, bit for bit.  A non-finite value at a node
-of a bisection the loop takes raises :class:`QuadratureError` naming that
-node in y, the left half's nodes before the right half's; one at a node
-evaluated ahead of need and never used raises nothing.
+The first bisection of a panel that is not evaluated yet evaluates, in a
+single integrand call, its bisections ``_SUBTREE_DEPTH`` levels down (7
+bisections, 14 panels of 15 nodes) and, where the panel touches an end of
+the interval, that end's bisection chain ``_EDGE_DEPTH`` levels further (2
+panels a level), the path along which an endpoint singularity is refined.
+Later bisections reuse those panels, so values, error estimates, evaluation
+counts and messages are those of one call per panel, bit for bit.  A
+non-finite value at a node of a bisection the loop takes raises
+:class:`QuadratureError` naming that node in y, the left half's nodes before
+the right half's; one at a node evaluated ahead of need and never used
+raises nothing.
 
 ``integrate`` either meets its fixed tolerance, ``max(1e-12, 1e-10 *
 |integral|)``, within 2000 panels or raises; an exhausted budget raises with
@@ -116,9 +121,10 @@ _ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 # integrate's tolerance, max(_ABS_TOL, _REL_TOL * |integral|), and its panel budget
 _REL_TOL, _ABS_TOL, _MAX_INTERVALS = 1e-10, 1e-12, 2000
 
-# levels of a panel's bisection subtree that integrate evaluates in one
-# integrand call: 2^depth - 1 bisections (depth 1 is one call per bisection)
-_SUBTREE_DEPTH = 3
+# integrate's one integrand call: a popped panel's bisections _SUBTREE_DEPTH
+# levels down (1 is one call per bisection) and, at an end of (lo, hi) it
+# touches, that end's chain of edge-panel bisections _EDGE_DEPTH levels on
+_SUBTREE_DEPTH, _EDGE_DEPTH = 3, 16
 
 
 def _kronrod_rows(evaluate: Callable, bounds: list[tuple[float, float]]) -> list:
@@ -170,7 +176,9 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
     when the panel budget is exhausted (a growing estimate is flagged as
     apparent divergence) or when the integrand produces NaN/inf at a node
     the result would rest on.  ``f`` takes a 1-d array of nodes; a node's
-    value may not depend on which other nodes share the call.
+    value may not depend on which other nodes share the call.  One call
+    evaluates a popped panel's bisection subtree and each touched end's
+    bisection chain; only the panel's halves may have nodes on an end.
     """
     if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
@@ -209,6 +217,7 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
     half_budget_val: float | None = None
     # (lo, hi) -> _kronrod_rows' result for every panel evaluated so far
     panels: dict[tuple[float, float], tuple[float, float] | QuadratureError] = {}
+    first_node, last_node = _XGK[[0, -1]].tolist()
 
     while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
         if len(heap) >= _MAX_INTERVALS:
@@ -226,11 +235,19 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
         _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if (a, m) not in panels or (m, b) not in panels:
-            # this panel's bisections _SUBTREE_DEPTH levels down, in one call
+            # in one call: this panel's subtree, then each touched end's chain
             level, bounds = [(a, b)], []
             for _ in range(_SUBTREE_DEPTH):
                 level = [child for p, q in level for child in ((p, 0.5 * (p + q)), (0.5 * (p + q), q))]
                 bounds += level
+            for end, (p, q) in ((lo, level[0]), (hi, level[-1])):
+                for _ in range(_EDGE_DEPTH if end in (a, b) else 0):
+                    c = 0.5 * (p + q)
+                    bounds += [(p, c), (c, q)]
+                    p, q = (p, c) if end == lo else (c, q)
+            # ahead of need, only panels whose nodes (formed as in _kronrod_rows) lie inside (lo, hi)
+            bounds[2:] = [(p, q) for p, q in bounds[2:] for mid, half in [(0.5 * (q + p), 0.5 * (q - p))]
+                          if lo < mid + half * first_node and mid + half * last_node < hi]
             panels.update(zip(bounds, _kronrod_rows(evaluate, bounds)))
         halves = panels[a, m], panels[m, b]
         for result in halves:

@@ -197,6 +197,24 @@ def _leftmost_panel(lo, hi, bisections):
 # a node of the leftmost panel three bisections below (-1, 2.5), where the
 # "smooth" integrand bisects only twice: evaluated ahead of need, never used
 _UNUSED_NODE = _nodes(*_leftmost_panel(-1.0, 2.5, 3))[3]
+# likewise eight bisections below, on the left end's bisection chain
+_UNUSED_CHAIN_NODE = _nodes(*_leftmost_panel(-1.0, 2.5, 8))[3]
+# a node ten bisections below (0, 1) on the left end's chain, which log(u)
+# refines past: evaluated ahead of need, then used
+_CHAIN_NODE = _nodes(*_leftmost_panel(0.0, 1.0, 10))[3]
+
+
+def _strictly_inside(lo, hi, f):
+    """``f``, raising ValueError at any node outside (lo, hi), as
+    ``MarginalFamily.quantile`` does outside (0, 1)."""
+
+    def g(u):
+        if not np.all((u > lo) & (u < hi)):
+            raise ValueError(f"node outside ({lo}, {hi})")
+        return f(u)
+
+    return g
+
 
 # (integrand factory, lo, hi, numerics constants to set for the case); a
 # factory because some integrands count their calls
@@ -221,6 +239,16 @@ BATCHING_CORPUS = {
     "jacobian_overflow": (lambda: lambda y: np.full_like(y, 1e300), 0.0, math.inf, {}),
     "nan_at_unused_node": (
         lambda: lambda u: np.where(u == _UNUSED_NODE, np.nan, np.sin(3.0 * u) + np.exp(-u) * u), -1.0, 2.5, {}
+    ),
+    "nan_at_unused_chain_node": (
+        lambda: lambda u: np.where(u == _UNUSED_CHAIN_NODE, np.nan, np.sin(3.0 * u) + np.exp(-u) * u), -1.0, 2.5, {}
+    ),
+    "nan_at_chain_node": (lambda: lambda u: np.where(u == _CHAIN_NODE, np.nan, np.log(u)), 0.0, 1.0, {}),
+    # log singularities at both ends, refined so deep at 2.0 that nodes of
+    # the chain's deepest panels would round onto it
+    "strictly_inside_log_ends": (
+        lambda: _strictly_inside(0.25, 2.0, lambda u: np.log(u - 0.25) * np.log(2.0 - u)), 0.25, 2.0,
+        {"_REL_TOL": 1e-15},
     ),
 }
 
@@ -262,6 +290,8 @@ class TestBatchedEvaluation:
         assert float(outcomes["jacobian_overflow"][0].split("(")[-1].rstrip(")")) > 1e4
         assert "divergent" in outcomes["divergent"][0]
         assert outcomes["budget_exhausted"][1] is not None
+        assert outcomes["nan_at_chain_node"][0].endswith(f"y={_CHAIN_NODE!r}")
+        assert isinstance(outcomes["strictly_inside_log_ends"], MeasureResult)
 
     def test_heavy_tail_budget_exhaustion(self):
         # CE of InverseWeibull(beta=1.2): the y^-1.2 tail exhausts the budget
@@ -275,11 +305,15 @@ class TestBatchedEvaluation:
         assert _same(*outcomes)
         assert outcomes[0][1].evaluations == 59_985
 
-    @pytest.mark.parametrize("name", ["smooth", "log_endpoint", "semi_infinite_shifted", "budget_exhausted"])
+    @pytest.mark.parametrize(
+        "name", ["smooth", "log_endpoint", "plain_log", "semi_infinite_shifted", "budget_exhausted"]
+    )
     def test_one_call_per_bisection(self, name):
-        # one call for the first panel, then one per subtree of at most
-        # 2^depth - 1 bisections, fewer calls than bisections; the count
-        # stays the sequential one
+        # one call for the first panel, then one per pop whose halves are
+        # not cached: those two halves at least, at most the subtree plus a
+        # bisection chain at each end; fewer calls than bisections, and
+        # along a log endpoint about one per _EDGE_DEPTH bisections; the
+        # count stays the sequential one
         factory, lo, hi, constants = BATCHING_CORPUS[name]
         inner = factory()
         sizes = []
@@ -294,21 +328,64 @@ class TestBatchedEvaluation:
         bisections, rest = divmod(evaluations - 15, 30)
         assert rest == 0 and bisections >= 2
         assert sizes[0] == 15
-        assert all(size in range(30, 30 * 2**numerics._SUBTREE_DEPTH, 30) for size in sizes[1:])
+        most = 15 * (2 ** (numerics._SUBTREE_DEPTH + 1) - 2 + 2 * 2 * numerics._EDGE_DEPTH)
+        assert all(size in range(30, most + 1, 15) for size in sizes[1:])
         assert len(sizes) - 1 < bisections
+        if name in ("log_endpoint", "plain_log"):
+            assert len(sizes) - 1 <= math.ceil(bisections / numerics._EDGE_DEPTH)
 
     def test_nan_at_a_node_evaluated_ahead_of_need_does_not_raise(self):
-        factory, lo, hi, constants = BATCHING_CORPUS["nan_at_unused_node"]
-        inner = factory()
-        seen = []
+        for name, node in (("nan_at_unused_node", _UNUSED_NODE), ("nan_at_unused_chain_node", _UNUSED_CHAIN_NODE)):
+            factory, lo, hi, constants = BATCHING_CORPUS[name]
+            inner = factory()
+            seen = []
 
-        def f(u):
-            seen.append(_UNUSED_NODE in u)
-            return inner(u)
+            def f(u, inner=inner, node=node, seen=seen):
+                seen.append(node in u)
+                return inner(u)
 
-        result = _outcome(integrate, lambda: f, lo, hi, constants)
-        assert isinstance(result, MeasureResult) and result.evaluations == 75
-        assert any(seen)
+            result = _outcome(integrate, lambda: f, lo, hi, constants)
+            assert isinstance(result, MeasureResult) and result.evaluations == 75
+            assert any(seen)
+
+    def test_only_nodes_the_loop_takes_reach_an_endpoint(self):
+        # (1-u)^-0.9, zeroed from u = 1 on, refines the right end until its
+        # nodes round onto 1.0; the ones evaluated ahead of need never do
+        ends = {}
+        for integrator in (integrate, integrate_per_panel):
+            count = ends[integrator] = []
+
+            def f(u, count=count):
+                count.append(np.count_nonzero((u <= 0.0) | (u >= 1.0)))
+                return np.where(u < 1.0, (1.0 - u) ** -0.9, 0.0)
+
+            with pytest.raises(QuadratureError, match="tolerance not reached after 59985"):
+                integrator(f, 0.0, 1.0)
+        assert sum(ends[integrate]) == sum(ends[integrate_per_panel]) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.floats(-0.9, 2.0),
+        b=st.floats(0.0, 3.0),
+        c=st.floats(-0.9, 2.0),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(1e-3, 10.0),
+        semi_infinite=st.booleans(),
+    )
+    def test_power_log_integrands_equal_the_per_panel_reference(self, a, b, c, lo, width, semi_infinite):
+        # g(u) = u^a |log u|^b (1-u)^c on (0, 1), singular at either end:
+        # on a finite (lo, hi) in u = (y - lo)/(hi - lo), and on [lo, inf)
+        # in u = s/(1 + s), s = y - lo, which the tail map turns back into g
+        def g(u):
+            return u**a * np.abs(np.log(u)) ** b * (1.0 - u) ** c
+
+        if semi_infinite:
+            hi = math.inf
+            factory = lambda: lambda y: g((y - lo) / (1.0 + (y - lo))) / (1.0 + (y - lo)) ** 2  # noqa: E731
+        else:
+            hi = lo + width
+            factory = lambda: lambda y: g((y - lo) / (hi - lo))  # noqa: E731
+        assert _same(_outcome(integrate, factory, lo, hi, {}), _outcome(integrate_per_panel, factory, lo, hi, {}))
 
     def test_kronrod_edge_rows_equal_the_per_row_rule(self):
         # (lo, hi, the integrand's 15 values); the np.float64 bounds must
