@@ -10,16 +10,19 @@ the substitution y = lo + t/(1-t).
 
 Panels are refined one at a time in QUADPACK's order (largest error first).
 The first bisection of a panel that is not evaluated yet evaluates, in a
-single integrand call, its bisections ``_SUBTREE_DEPTH`` levels down (7
-bisections, 14 panels of 15 nodes) and, where the panel touches an end of
-the interval, that end's bisection chain ``_EDGE_DEPTH`` levels further (2
-panels a level), the path along which an endpoint singularity is refined.
-Later bisections reuse those panels, so values, error estimates, evaluation
-counts and messages are those of one call per panel, bit for bit.  A
-non-finite value at a node of a bisection the loop takes raises
-:class:`QuadratureError` naming that node in y, the left half's nodes before
-the right half's; one at a node evaluated ahead of need and never used
-raises nothing.
+single integrand call, its batch: its bisections ``_SUBTREE_DEPTH`` levels
+down (7 bisections, 14 panels of 15 nodes) and, where the panel touches an
+end of the interval, that end's bisection chain ``_EDGE_DEPTH`` levels
+further (2 panels a level), the path along which an endpoint singularity is
+refined.  The first call adds the whole interval, so even a one-panel
+integral evaluates up to 79 panels.  A process keeps the panels and nodes of
+the 64 batches used last (``_PLAN_CACHE``, under 1 MiB, no integrand
+values).  Later bisections reuse the evaluated panels and finish only the
+two halves they take, so values, error estimates, evaluation counts and
+messages are those of one call per panel, bit for bit.  A non-finite value
+at a node of a bisection the loop takes raises :class:`QuadratureError`
+naming that node in y, the left half's nodes before the right half's; one at
+a node evaluated ahead of need and never used raises nothing.
 
 ``integrate`` either meets its fixed tolerance, ``max(1e-12, 1e-10 *
 |integral|)``, within 2000 panels or raises; an exhausted budget raises with
@@ -123,23 +126,42 @@ _REL_TOL, _ABS_TOL, _MAX_INTERVALS = 1e-10, 1e-12, 2000
 
 # integrate's one integrand call: a popped panel's bisections _SUBTREE_DEPTH
 # levels down (1 is one call per bisection) and, at an end of (lo, hi) it
-# touches, that end's chain of edge-panel bisections _EDGE_DEPTH levels on
-_SUBTREE_DEPTH, _EDGE_DEPTH = 3, 16
+# touches, that end's chain of edge-panel bisections _EDGE_DEPTH levels on;
+# the most such batch plans (_batch_plan) a process keeps
+_SUBTREE_DEPTH, _EDGE_DEPTH, _PLAN_CACHE = 3, 16, 64
+_FIRST_NODE, _LAST_NODE = _XGK[[0, -1]].tolist()  # the outermost abscissae, for _batch_plan's filter
 
 
-def _kronrod_rows(evaluate: Callable, bounds: list[tuple[float, float]]) -> list:
-    """G7/K15 (integral, error estimate) of every panel (lo, hi) in ``bounds``
-    from a single ``evaluate`` call on their nodes, one row of 15 per panel.
+@functools.lru_cache(maxsize=_PLAN_CACHE, typed=True)
+def _batch_plan(a, b, lo, hi, first: bool, subtree_depth: int, edge_depth: int) -> tuple[tuple, np.ndarray]:
+    """The panels of integrate's call on popping (a, b) of (lo, hi) and their
+    read-only nodes, a row of 15 each: (a, b) if ``first``, its bisections
+    ``subtree_depth`` levels down, then each touched end's chain of edge-panel
+    bisections ``edge_depth`` levels on, past the rows needed now ((a, b) or
+    its halves) only panels whose nodes lie inside (lo, hi)."""
+    level, bounds = [(a, b)], [(a, b)] * first
+    for _ in range(subtree_depth):
+        level = [child for p, q in level for child in ((p, 0.5 * (p + q)), (0.5 * (p + q), q))]
+        bounds += level
+    for end, (p, q) in ((lo, level[0]), (hi, level[-1])):
+        for _ in range(edge_depth if end in (a, b) else 0):
+            c = 0.5 * (p + q)
+            bounds += [(p, c), (c, q)]
+            p, q = (p, c) if end == lo else (c, q)
+    bounds[2 - first:] = [(p, q) for p, q in bounds[2 - first:] for mid, half in [(0.5 * (q + p), 0.5 * (q - p))]
+                          if lo < mid + half * _FIRST_NODE and mid + half * _LAST_NODE < hi]
+    mid, half = np.array([0.5 * (q + p) for p, q in bounds]), np.array([0.5 * (q - p) for p, q in bounds])
+    x = mid[:, None] + half[:, None] * _XGK
+    x.flags.writeable = False
+    return tuple(bounds), x
 
-    A panel with a non-finite value gets, in place of its pair, the
-    :class:`QuadratureError` naming its first such node in y: the
-    integrand's own value checked before its mapped (Jacobian-weighted) one.
-    """
-    # Python lists: a result takes its type from the bounds (np.float64
-    # bounds give np.float64 values and errors)
-    half = [0.5 * (hi - lo) for lo, hi in bounds]
-    mid = [0.5 * (hi + lo) for lo, hi in bounds]
-    x = np.array(mid)[:, None] + np.array(half)[:, None] * _XGK
+
+def _kronrod_rows(evaluate: Callable, x: np.ndarray) -> list:
+    """G7/K15 sums on [-1, 1] (Kronrod, Gauss, Kronrod of |f| and of |f - mean|)
+    of every panel from one ``evaluate`` call on its row of 15 nodes in ``x``.
+    A panel with a non-finite value gets, in place of its sums, the
+    :class:`QuadratureError` naming its first such node in y: the integrand's
+    own value checked before its mapped (Jacobian-weighted) one."""
     with np.errstate(all="ignore"):  # non-finite output is caught explicitly below
         y, fy, fx = evaluate(x)
         # np.vecdot takes one BLAS ddot per row, the sum a 1-d `@` takes
@@ -150,22 +172,26 @@ def _kronrod_rows(evaluate: Callable, bounds: list[tuple[float, float]]) -> list
     finite = np.isfinite(fy).all(axis=1)
     if fx is not fy:
         finite &= np.isfinite(fx).all(axis=1)
-    rows = []
-    # per row in Python floats: np.power(x, 1.5) is not always x ** 1.5, and
-    # min/max keep their NaN rule
-    for i, (ok, k, g, a, s, h) in enumerate(zip(finite.tolist(), resk.tolist(), resg.tolist(),
-                                                resabs.tolist(), resasc.tolist(), half)):
-        if not ok:
-            values = fy[i] if not np.isfinite(fy[i]).all() else fx[i]
-            rows.append(QuadratureError(
-                f"integrand returned a non-finite value at y={y[i][~np.isfinite(values)][0]!r}"))
-            continue
-        err = abs(k - g) * h
-        s *= h
-        if s != 0.0 and err != 0.0:
-            err = s * min(1.0, (200.0 * err / s) ** 1.5)
-        rows.append((k * h, max(err, _ROUNDOFF * a * h)))
+    rows: list = list(zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist()))
+    for i in np.flatnonzero(~finite).tolist():
+        values = fy[i] if not np.isfinite(fy[i]).all() else fx[i]
+        rows[i] = QuadratureError(f"integrand returned a non-finite value at y={y[i][~np.isfinite(values)][0]!r}")
     return rows
+
+
+def _finish_row(row, lo, hi) -> tuple[float, float]:
+    """(integral, error estimate) of the panel (lo, hi) from its _kronrod_rows
+    row (whose QuadratureError is raised), in Python floats typed by the bounds:
+    np.power(x, 1.5) is not always x ** 1.5, and min/max keep their NaN rule."""
+    if isinstance(row, QuadratureError):
+        raise row
+    k, g, a, s = row
+    h = 0.5 * (hi - lo)
+    err = abs(k - g) * h
+    s *= h
+    if s != 0.0 and err != 0.0:
+        err = s * min(1.0, (200.0 * err / s) ** 1.5)
+    return k * h, max(err, _ROUNDOFF * a * h)
 
 
 def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
@@ -176,14 +202,16 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
     when the panel budget is exhausted (a growing estimate is flagged as
     apparent divergence) or when the integrand produces NaN/inf at a node
     the result would rest on.  ``f`` takes a 1-d array of nodes; a node's
-    value may not depend on which other nodes share the call.  One call
-    evaluates a popped panel's bisection subtree and each touched end's
-    bisection chain; only the panel's halves may have nodes on an end.
+    value may not depend on which other nodes share the call.  A call
+    evaluates a popped panel's batch (:func:`_batch_plan`), the first also
+    (lo, hi); only the panel's halves, or (lo, hi), may have nodes on an end.
     """
     if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+    if math.isfinite(hi) and math.isinf(abs(float(lo)) + abs(float(hi))):  # hi - lo or hi + lo overflows
+        raise ValueError(f"need a finite hi - lo and hi + lo, got ({lo}, {hi})")
 
     # evaluate(x) -> (y, f(y), integrand in x) on a 2-d array of nodes
     if math.isinf(hi):
@@ -204,20 +232,18 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
     else:
 
         def evaluate(x):
+            x = x.copy()  # f may write into its argument; the plan's nodes are shared
             fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
             return x, fx, fx
 
     evals = 15
-    [first] = _kronrod_rows(evaluate, [(lo, hi)])
-    if isinstance(first, QuadratureError):
-        raise first
-    val, err = first
+    bounds, x = _batch_plan(lo, hi, lo, hi, True, _SUBTREE_DEPTH, _EDGE_DEPTH)
+    # (lo, hi) -> _kronrod_rows' row for every panel evaluated so far
+    panels = dict(zip(bounds, _kronrod_rows(evaluate, x)))
+    val, err = _finish_row(panels[lo, hi], lo, hi)
     heap = [(-err, lo, hi, val, err)]
     total_val, total_err = val, err
     half_budget_val: float | None = None
-    # (lo, hi) -> _kronrod_rows' result for every panel evaluated so far
-    panels: dict[tuple[float, float], tuple[float, float] | QuadratureError] = {}
-    first_node, last_node = _XGK[[0, -1]].tolist()
 
     while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
         if len(heap) >= _MAX_INTERVALS:
@@ -235,25 +261,9 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
         _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if (a, m) not in panels or (m, b) not in panels:
-            # in one call: this panel's subtree, then each touched end's chain
-            level, bounds = [(a, b)], []
-            for _ in range(_SUBTREE_DEPTH):
-                level = [child for p, q in level for child in ((p, 0.5 * (p + q)), (0.5 * (p + q), q))]
-                bounds += level
-            for end, (p, q) in ((lo, level[0]), (hi, level[-1])):
-                for _ in range(_EDGE_DEPTH if end in (a, b) else 0):
-                    c = 0.5 * (p + q)
-                    bounds += [(p, c), (c, q)]
-                    p, q = (p, c) if end == lo else (c, q)
-            # ahead of need, only panels whose nodes (formed as in _kronrod_rows) lie inside (lo, hi)
-            bounds[2:] = [(p, q) for p, q in bounds[2:] for mid, half in [(0.5 * (q + p), 0.5 * (q - p))]
-                          if lo < mid + half * first_node and mid + half * last_node < hi]
-            panels.update(zip(bounds, _kronrod_rows(evaluate, bounds)))
-        halves = panels[a, m], panels[m, b]
-        for result in halves:
-            if isinstance(result, QuadratureError):
-                raise result
-        (v1, e1), (v2, e2) = halves
+            bounds, x = _batch_plan(a, b, lo, hi, False, _SUBTREE_DEPTH, _EDGE_DEPTH)
+            panels.update(zip(bounds, _kronrod_rows(evaluate, x)))
+        (v1, e1), (v2, e2) = _finish_row(panels[a, m], a, m), _finish_row(panels[m, b], m, b)
         evals += 30
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e

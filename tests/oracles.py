@@ -8,7 +8,7 @@
 - ``integrate_per_panel``: the adaptive G7/K15 scheme with one integrand call
   per panel, the reference for the batched evaluation in ``numerics``;
   ``kronrod_panel``, its rule on one panel, the reference for
-  ``numerics._kronrod_rows``.
+  ``numerics._kronrod_rows`` with ``numerics._finish_row``.
 - ``GeneratorStream``: the uniform stream drawn through ``Generator.integers``,
   the reference for ``numerics.RngStream``.
 - ``mc_replicates_loop``: the Monte Carlo replicates one at a time, the

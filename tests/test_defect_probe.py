@@ -7,7 +7,9 @@ is checked here by ``perfbench/run.py``'s rule for quadrature routes,
 reference of ``perfbench/oracle.py`` (as the golden audit does); a raised
 error fails.  The ops that still miss or raise are strict xfails named by
 their class, so a fix shows as an XPASS that fails the run until its mark
-goes; any other error fails at once.
+goes; any other error fails at once.  The same 13 ops, whose heavy tails
+pop many distinct panels, check that ``numerics.integrate``'s cache of batch
+plans stays within its size.
 """
 
 import sys
@@ -26,6 +28,7 @@ from concomitant_measures import (
     reversed_inaccuracy,
 )
 from concomitant_measures.marginals import MARGINAL_FAMILIES
+from concomitant_measures import numerics
 from concomitant_measures.numerics import QuadratureError
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -64,3 +67,18 @@ def test_probe_op_within_its_bound(oracle, op):
     model = FgmModel(marginal_x=marginal, marginal_y=marginal, alpha=op["alpha"])
     res = ROUTES[op["route"]](model, GosParams(*op["gos"]))
     assert abs(res.value - ref) <= res.abs_error_estimate + 8 * np.finfo(float).eps * abs(ref), (res, ref)
+
+
+def test_plan_cache_stays_within_its_size():
+    # the probe's heavy tails refine deep into many distinct panels, each
+    # popped batch a plan of its own: the cache evicts rather than grows
+    numerics._batch_plan.cache_clear()
+    for op in workloads.DEFECT_PROBE:
+        marginal = MARGINAL_FAMILIES[op["family"]](**op["params"])
+        model = FgmModel(marginal_x=marginal, marginal_y=marginal, alpha=op["alpha"])
+        try:
+            ROUTES[op["route"]](model, GosParams(*op["gos"]))
+        except QuadratureError:
+            pass
+    info = numerics._batch_plan.cache_info()
+    assert info.misses > info.maxsize == info.currsize == numerics._PLAN_CACHE

@@ -4,6 +4,7 @@ Expected values here are independent oracles: analytic antiderivatives for
 the integrals and special values / functional equations for psi.
 """
 
+import functools
 import inspect
 import math
 import os
@@ -129,6 +130,13 @@ class TestIntegrate:
             integrate(lambda u: u, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(lambda u: u, -math.inf, 1.0)
+        # finite limits whose width or midpoint overflows: rejected before
+        # any node is formed, so no floating-point warning leaks (pytest
+        # turns one into an error)
+        for lo, hi in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)), (1e308, 1.7e308),
+                       (-1.7e308, -1e308)):
+            with pytest.raises(ValueError, match="finite hi - lo and hi \\+ lo"):
+                integrate(lambda x: np.exp(-x * x), lo, hi)
 
     def test_nan_integrand_identifies_abscissa(self):
         with pytest.raises(QuadratureError, match="non-finite value at y="):
@@ -309,11 +317,13 @@ class TestBatchedEvaluation:
         "name", ["smooth", "log_endpoint", "plain_log", "semi_infinite_shifted", "budget_exhausted"]
     )
     def test_one_call_per_bisection(self, name):
-        # one call for the first panel, then one per pop whose halves are
-        # not cached: those two halves at least, at most the subtree plus a
-        # bisection chain at each end; fewer calls than bisections, and
-        # along a log endpoint about one per _EDGE_DEPTH bisections; the
-        # count stays the sequential one
+        # the first call evaluates the first panel with its first batch (the
+        # subtree and both ends' chains, none of whose panels is narrow
+        # enough here to be filtered out), then one call per pop whose
+        # halves are not cached: those two halves at least, at most the
+        # subtree plus a bisection chain at each end; fewer calls than
+        # bisections, and along a log endpoint about one per _EDGE_DEPTH
+        # bisections; the count stays the sequential one
         factory, lo, hi, constants = BATCHING_CORPUS[name]
         inner = factory()
         sizes = []
@@ -327,8 +337,8 @@ class TestBatchedEvaluation:
         evaluations = result[1].evaluations if isinstance(result, tuple) else result.evaluations
         bisections, rest = divmod(evaluations - 15, 30)
         assert rest == 0 and bisections >= 2
-        assert sizes[0] == 15
         most = 15 * (2 ** (numerics._SUBTREE_DEPTH + 1) - 2 + 2 * 2 * numerics._EDGE_DEPTH)
+        assert sizes[0] == 15 + most
         assert all(size in range(30, most + 1, 15) for size in sizes[1:])
         assert len(sizes) - 1 < bisections
         if name in ("log_endpoint", "plain_log"):
@@ -399,9 +409,90 @@ class TestBatchedEvaluation:
             (np.float64(0.25), np.float64(0.75), np.exp(_XGK)),
         ]
         values = np.array([fx for _, _, fx in rows])
-        batched = numerics._kronrod_rows(lambda x: (x, values, values), [(lo, hi) for lo, hi, _ in rows])
-        for (lo, hi, fx), result in zip(rows, batched):
-            assert _same(result, kronrod_panel(lambda x, fx=fx: fx, lo, hi))
+        nodes = np.array([_nodes(lo, hi) for lo, hi, _ in rows])
+        batched = numerics._kronrod_rows(lambda x: (x, values, values), nodes)
+        for (lo, hi, fx), row in zip(rows, batched):
+            assert _same(numerics._finish_row(row, lo, hi), kronrod_panel(lambda x, fx=fx: fx, lo, hi))
+
+
+class TestBatchPlans:
+    """``integrate`` keeps each batch's panels and read-only nodes
+    (``_batch_plan``) per process, keyed on the popped panel, the interval,
+    the depths and the argument types; no result may depend on what the
+    cache holds."""
+
+    def test_cold_warm_and_thrashed_cache_equal_the_per_panel_reference(self, monkeypatch):
+        expected = {name: _outcome(integrate_per_panel, *case) for name, case in BATCHING_CORPUS.items()}
+        for name, case in BATCHING_CORPUS.items():
+            numerics._batch_plan.cache_clear()
+            cold = _outcome(integrate, *case)
+            hits = numerics._batch_plan.cache_info().hits
+            warm = _outcome(integrate, *case)
+            assert numerics._batch_plan.cache_info().hits > hits
+            assert _same(cold, expected[name]) and _same(warm, expected[name]), name
+        # a one-plan cache evicts on every miss
+        thrashed = functools.lru_cache(maxsize=1, typed=True)(numerics._batch_plan.__wrapped__)
+        monkeypatch.setattr(numerics, "_batch_plan", thrashed)
+        for name, case in BATCHING_CORPUS.items():
+            assert _same(_outcome(integrate, *case), expected[name]), name
+        assert thrashed.cache_info().misses > len(BATCHING_CORPUS)
+
+    def test_numpy_float_limits_keep_numpy_float_results(self):
+        f = BATCHING_CORPUS["smooth"][0]()
+        plain = integrate(f, -1.0, 2.5)  # caches plans with Python-float bounds
+        res = integrate(f, np.float64(-1.0), np.float64(2.5))
+        assert type(res.value) is np.float64 and type(res.abs_error_estimate) is np.float64
+        assert _same(res, integrate_per_panel(f, np.float64(-1.0), np.float64(2.5)))
+        assert (res.value, res.abs_error_estimate) == (plain.value, plain.abs_error_estimate)
+        bounds, _ = numerics._batch_plan(np.float64(-1.0), np.float64(2.5), np.float64(-1.0), np.float64(2.5),
+                                         True, numerics._SUBTREE_DEPTH, numerics._EDGE_DEPTH)
+        assert {type(v) for panel in bounds for v in panel} == {np.float64}
+
+    @pytest.mark.parametrize("name", ["log_endpoint", "plain_log", "nan_in_both_halves", "nan_at_mapped_node"])
+    def test_negative_zero_lower_limit(self, name):
+        # -0.0 and 0.0 are equal cache keys; either may fill the cache first
+        factory, lo, hi, constants = BATCHING_CORPUS[name]
+        assert lo == 0.0
+        for order in ((-0.0, 0.0), (0.0, -0.0)):
+            numerics._batch_plan.cache_clear()
+            first, second = (_outcome(integrate, factory, z, hi, constants) for z in order)
+            assert _same(first, second)
+            assert _same(first, _outcome(integrate_per_panel, factory, order[0], hi, constants))
+
+    def test_integrand_writing_into_its_argument(self):
+        # the cached nodes are shared between calls, so the integrand gets a
+        # copy: neither this result nor a later one may see the write
+        def writing(g):
+            def f(x):
+                out = g(x)
+                x[:] = np.nan
+                return out
+            return f
+
+        for g, lo, hi in ((np.log, 0.0, 1.0), (lambda y: np.exp(-y) * np.log1p(y), 0.0, math.inf)):
+            expected = integrate_per_panel(g, lo, hi)
+            numerics._batch_plan.cache_clear()
+            assert _same(integrate(writing(g), lo, hi), expected)
+            assert _same(integrate(writing(g), lo, hi), expected)
+            assert _same(integrate(g, lo, hi), expected)
+
+    @pytest.mark.parametrize("edge_depth", [0, 5])
+    def test_patched_edge_depth_reads_no_stale_plan(self, edge_depth):
+        # the results are the same at any depth, so the first call's size
+        # shows which plan was read: the patched depth's, not a cached one
+        for name in ("log_endpoint", "plain_log", "strictly_inside_log_ends"):
+            factory, lo, hi, constants = BATCHING_CORPUS[name]
+            _outcome(integrate, factory, lo, hi, constants)
+            sizes = []
+
+            def f(x, inner=factory()):
+                sizes.append(x.size)
+                return inner(x)
+
+            patched = {**constants, "_EDGE_DEPTH": edge_depth}
+            assert _same(_outcome(integrate, lambda: f, lo, hi, patched),
+                         _outcome(integrate_per_panel, factory, lo, hi, patched))
+            assert sizes[0] == 15 * (2 ** (numerics._SUBTREE_DEPTH + 1) - 1 + 2 * 2 * edge_depth)
 
 
 class TestPsi:
