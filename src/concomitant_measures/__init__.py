@@ -11,7 +11,7 @@ The package exports each library module's ``__all__``, by module:
   samplers.
 - :mod:`~concomitant_measures.inaccuracy` / :mod:`~concomitant_measures.cpi`:
   the measures by closed decomposition and by quadrature, their reversed and
-  quantile forms, bound classification.
+  quantile forms, bound classification, and ``ROUTES``, each by route name.
 - :mod:`~concomitant_measures.empirical`: spacings-based estimators, exact
   moments, CLT diagnostics, Monte Carlo validation.
 

@@ -34,16 +34,22 @@ import sys
 
 import numpy as np
 
-from .cpi import check_cpi_bounds, cpi_gos, reversed_cpi
+from .cpi import ROUTES
 from .empirical import _exponential_moments, _uniform_moments, mc_validate
 from .fgm import FgmModel, c_star, format_gos, parse_gos, record_value
-from .inaccuracy import inaccuracy_gos, reversed_inaccuracy
 from .marginals import SpecFormatError, format_marginal, parse_marginal
-from .numerics import MeasureResult, QuadratureError, RngStream
+from .numerics import QuadratureError, RngStream
 
-__all__ = ["main", "TABLE1_REFERENCE", "TABLE2_REFERENCE"]
+__all__ = ["main", "MEASURES", "TABLE1_REFERENCE", "TABLE2_REFERENCE"]
 
-MEASURE_NAMES = ("inaccuracy", "reversed_inaccuracy", "cpi", "reversed_cpi", "bounds")
+# each measure, in the default order, and its route in cpi.ROUTES
+MEASURES = {
+    "inaccuracy": "inaccuracy.closed_form",
+    "reversed_inaccuracy": "inaccuracy.reversed",
+    "cpi": "cpi.closed_form",
+    "reversed_cpi": "cpi.reversed",
+    "bounds": "cpi.bounds",
+}
 
 # Published 3-decimal reference values for the record-case (r=2) estimator
 # moments.  Keys: (n, theta2, alpha) -> (mean, variance) for table 1;
@@ -86,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--marginal", required=True, help="e.g. exponential:theta=1")
     m.add_argument("--gos", required=True, help="e.g. os:r=1,n=3 or record:r=2 or r=2,n=5,m=1,k=2")
     m.add_argument("--alpha", type=float, required=True)
-    m.add_argument("--measure", action="append", choices=MEASURE_NAMES,
+    m.add_argument("--measure", action="append", choices=MEASURES,
                    help="repeatable; default every measure")
     add_common(m)
 
@@ -130,19 +136,10 @@ def _cmd_measure(args) -> list[dict]:
     marginal = parse_marginal(args.marginal)
     gos = parse_gos(args.gos)
     model = FgmModel(marginal_x=marginal, marginal_y=marginal, alpha=args.alpha)
-    # built per call, so a module attribute rebound at run time (a tracer, a
-    # test double) is the one called
-    routes = {
-        "inaccuracy": inaccuracy_gos,
-        "reversed_inaccuracy": reversed_inaccuracy,
-        "cpi": cpi_gos,
-        "reversed_cpi": reversed_cpi,
-        "bounds": lambda mdl, p: MeasureResult(check_cpi_bounds(mdl, p), "closed_form"),
-    }
     head = {"command": "measure", "marginal": format_marginal(marginal), "gos": format_gos(gos), "alpha": args.alpha}
     records = []
-    for name in args.measure or MEASURE_NAMES:
-        result = routes[name](model, gos)
+    for name in args.measure or MEASURES:
+        result = ROUTES[MEASURES[name]](model, gos)
         records.append({**head, "measure": name, "value": result.value, "method": result.method,
                         "abs_error_estimate": result.abs_error_estimate})
     return records

@@ -10,6 +10,9 @@ where CE is the cumulative entropy -Int F log F and CE(Y_(2:2)) applies the
 same functional to F^2 (the cdf of a two-sample maximum).  Since
 CE(Y) - CE(Y_(2:2))/2 > 0 always, the measure sits above or below CE(Y)
 exactly as alpha C* is positive or negative.
+
+``ROUTES`` names each route of this module and of ``inaccuracy`` once
+("cpi.quadrature", ...), mapped to its call (model, GosParams) -> MeasureResult.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import inaccuracy
 from .fgm import FgmModel, GosParams, c_star
 from .inaccuracy import _raise_complement
 from .marginals import log_cdf_integral
@@ -27,6 +31,7 @@ __all__ = [
     "cpi_gos",
     "reversed_cpi",
     "check_cpi_bounds",
+    "ROUTES",
 ]
 
 
@@ -89,3 +94,17 @@ def check_cpi_bounds(model: FgmModel, p: GosParams) -> str:
     if abs(gap) <= tol:
         return "equal"
     return "above_CE" if gap > 0.0 else "below_CE"
+
+
+# each entry looks its function up on its module when called, so a function
+# rebound there at run time (a tracer, a test double) is the one called
+ROUTES = {
+    "inaccuracy.closed_form": lambda m, p: inaccuracy.inaccuracy_gos(m, p),
+    "inaccuracy.quadrature": lambda m, p: inaccuracy.inaccuracy_gos(m, p, "quadrature"),
+    "inaccuracy.quantile_form": lambda m, p: inaccuracy.quantile_form_inaccuracy(m, p),
+    "inaccuracy.reversed": lambda m, p: inaccuracy.reversed_inaccuracy(m, p),
+    "cpi.closed_form": lambda m, p: cpi_gos(m, p),
+    "cpi.quadrature": lambda m, p: cpi_gos(m, p, "quadrature"),
+    "cpi.reversed": lambda m, p: reversed_cpi(m, p),
+    "cpi.bounds": lambda m, p: MeasureResult(check_cpi_bounds(m, p), "closed_form"),
+}

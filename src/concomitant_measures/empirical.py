@@ -5,9 +5,11 @@ for the spacings, the empirical CPI of the r-th GOS concomitant is
 
     I_hat = sum_{j=1}^{n-1} U_j (j/n) (-log(j/n)) [1 + alpha C* (1 - j/n)].
 
-Ties contribute zero spacings and therefore vanish from the sum.  The same
-weights define spacings-based estimators of CE(Y) and CE(Y_(2:2)), and I_hat
-is exactly their alpha-C* combination, mirroring the population identity.
+Ties contribute zero spacings and therefore vanish from the sum.  The
+estimators clip each sample at 0, the measures' y > 0 domain (``spacings``
+does not).  The same weights define spacings-based estimators of CE(Y) and
+CE(Y_(2:2)), and I_hat is exactly their alpha-C* combination, mirroring the
+population identity.
 
 Two sampling models admit exact moment formulas for I_hat in the record case:
 exponential marginals with rate theta2 (spacings are independent exponentials
@@ -75,9 +77,11 @@ def _sorted(values) -> np.ndarray:
 
 def _spacing_sum(z, weights, out=None, spare=None) -> np.ndarray:
     """sum_j U_j w_j over the spacings U of each sorted sample along the last
-    axis of ``z``, with w = weights(n) for samples of size n: every spacings
-    estimator.  The spacings are formed in ``spare`` and the sums written to
-    ``out`` where these are given."""
+    axis of ``z``, clipped at 0 in place, with w = weights(n) for samples of
+    size n: every spacings estimator.  The spacings are formed in ``spare``
+    and the sums written to ``out`` where these are given."""
+    if z[..., 0].min() < 0.0:
+        np.maximum(z, 0.0, out=z)
     u = np.subtract(z[..., 1:], z[..., :-1], out=spare)
     u *= weights(z.shape[-1])
     return np.sum(u, axis=-1, out=out)

@@ -228,13 +228,14 @@ class GeneratorStream:
 
 def mc_replicates_loop(marginal, p, alpha, n, replicates, stream):
     """The replicate vector of ``empirical.mc_validate`` with one quantile
-    call, sort, diff and weighted sum per replicate."""
+    call, sort, clip at 0 (the measures' y > 0 domain), diff and weighted
+    sum per replicate."""
     j = np.arange(1, n) / n
     w = j * (-np.log(j)) * (1.0 + alpha * c_star(p) * (1.0 - j))
     vals = np.empty(replicates)
     for i in range(replicates):
         y = marginal.quantile(stream.substream(i).uniforms(n))
-        vals[i] = np.sum(np.diff(np.sort(y)) * w)
+        vals[i] = np.sum(np.diff(np.maximum(np.sort(y), 0.0)) * w)
     return vals
 
 

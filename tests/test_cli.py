@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concomitant_measures import cli, empirical
+from concomitant_measures import cli, cpi, empirical, inaccuracy
 from concomitant_measures.cli import TABLE1_REFERENCE, TABLE2_REFERENCE, main
 from concomitant_measures.marginals import MARGINAL_FAMILIES
 from concomitant_measures.numerics import MeasureResult
@@ -235,7 +235,7 @@ class TestMeasure:
         )
         assert code == 0
         records = json.loads(out) if fmt == "json" else parse_csv(out)
-        assert [rec["measure"] for rec in records] == list(cli.MEASURE_NAMES)
+        assert [rec["measure"] for rec in records] == list(cli.MEASURES)
         assert calls == {"format_marginal": 1, "format_gos": 1}
 
     def test_numerical_failure_exit_3(self, capsys):
@@ -343,7 +343,7 @@ class TestMeasure:
         def huge(mdl, p):
             return MeasureResult(sys.float_info.max, "closed_form")
 
-        monkeypatch.setattr(cli, "inaccuracy_gos", huge)
+        monkeypatch.setattr(inaccuracy, "inaccuracy_gos", huge)
         code, out, err = run_cli(
             capsys, "measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3",
             "--alpha", "0.5", "--measure", "bounds", "--measure", "inaccuracy",
@@ -358,7 +358,7 @@ class TestMeasure:
             made.append(MeasureResult(*args))
             return made[-1]
 
-        monkeypatch.setattr(cli, "MeasureResult", recording)
+        monkeypatch.setattr(cpi, "MeasureResult", recording)
         code, out, _ = run_cli(
             capsys, "measure", "--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3",
             "--alpha", "0.5", "--measure", "bounds",
@@ -685,7 +685,7 @@ def _measure_argv(draw):
     gos = draw(st.sampled_from([f"os:r={r},n={n}", f"record:r={r}", f"r={r},n={n},m={m!r},k={k!r}"]))
     alpha = draw(st.sampled_from([draw(st.floats(-1.5, 1.5))] * 9 + [math.nan]))
     return ["measure", "--marginal", marginal, "--gos", gos, f"--alpha={alpha!r}",
-            "--measure", draw(st.sampled_from(cli.MEASURE_NAMES))]
+            "--measure", draw(st.sampled_from(list(cli.MEASURES)))]
 
 
 @given(argv=_measure_argv())

@@ -9,7 +9,9 @@ error fails.  The ops that still miss or raise are strict xfails named by
 their class, so a fix shows as an XPASS that fails the run until its mark
 goes; any other error fails at once.  The same 13 ops, whose heavy tails
 pop many distinct panels, check that ``numerics.integrate``'s cache of batch
-plans stays within its size.
+plans stays within its size.  The ops run through the library's route table,
+``cpi.ROUTES``, which must name every route the benchmark, its tracer and
+``cmeasure`` use.
 """
 
 import sys
@@ -18,29 +20,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from concomitant_measures import (
-    FgmModel,
-    GosParams,
-    cpi_gos,
-    inaccuracy_gos,
-    quantile_form_inaccuracy,
-    reversed_cpi,
-    reversed_inaccuracy,
-)
+from concomitant_measures import ROUTES, Exponential, FgmModel, GosParams, MeasureResult, cli, numerics
 from concomitant_measures.marginals import MARGINAL_FAMILIES
-from concomitant_measures import numerics
 from concomitant_measures.numerics import QuadratureError
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
-ROUTES = {
-    "inaccuracy.quadrature": lambda m, p: inaccuracy_gos(m, p, method="quadrature"),
-    "inaccuracy.quantile_form": quantile_form_inaccuracy,
-    "inaccuracy.reversed": reversed_inaccuracy,
-    "cpi.quadrature": lambda m, p: cpi_gos(m, p, method="quadrature"),
-    "cpi.reversed": reversed_cpi,
-}
 # probe ops within their bound today
 PASSING = {6, 8}
 
@@ -82,3 +69,14 @@ def test_plan_cache_stays_within_its_size():
             pass
     info = numerics._batch_plan.cache_info()
     assert info.misses > info.maxsize == info.currsize == numerics._PLAN_CACHE
+
+
+def test_every_route_is_named_once_in_the_library_table(oracle):
+    # a route added to the table, the tracer, the benchmark or the CLI alone fails here
+    assert set(ROUTES) == set(tracer.ROUTES)
+    assert set(ROUTES) >= set(workloads.QUAD_ROUTES) | set(cli.MEASURES.values())
+    model = FgmModel(marginal_x=Exponential(), marginal_y=Exponential(), alpha=0.5)
+    for route, call in ROUTES.items():
+        oracle.measure(route, "exponential", {"theta": 1.0}, (2, 5, 0.0, 1.0), 0.5)
+        res = call(model, GosParams(2, 5, 0.0, 1.0))
+        assert isinstance(res, MeasureResult) and res.method in ("closed_form", "quadrature", "quantile_form")

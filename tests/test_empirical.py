@@ -94,6 +94,16 @@ class TestEstimator:
         for alpha in (-1.0, 0.3, 1.0):
             assert empirical_cpi_record(vals, alpha, 1) == pytest.approx(base, abs=1e-15)
 
+    @pytest.mark.parametrize("estimator", [
+        lambda v: empirical_cpi(v, 0.5, record_value(2)),
+        empirical_cumulative_entropy,
+        empirical_cumulative_entropy_max2,
+    ], ids=["cpi", "ce", "ce2"])
+    def test_negative_values_clipped_at_zero(self, estimator):
+        # the measures live on y > 0: the negative values tie at 0
+        values = np.random.default_rng(3).normal(0.2, 1.0, 50)
+        assert estimator(values) == estimator(np.maximum(values, 0.0))
+
     def test_unsorted_input_sorted_internally(self):
         p = order_statistics(2, 5)
         assert empirical_cpi([3.0, 1.0, 2.0], 0.5, p) == empirical_cpi([1.0, 2.0, 3.0], 0.5, p)
@@ -315,6 +325,11 @@ class TestMcValidate:
             var = mc_validate(Uniform(1e155), record_value(2), 0.5, 20, 100, RngStream(0)).empirical_variance
         ref = mc_validate(Uniform(1e154), record_value(2), 0.5, 20, 100, RngStream(0)).empirical_variance
         assert var == pytest.approx(100.0 * ref, rel=1e-14)
+
+    def test_logistic_bias_within_five_standard_errors(self):
+        # analytic_cpi is the y > 0 value, which the clipped samples estimate
+        rep = mc_validate(Logistic(), record_value(2), 0.5, 2000, 200, RngStream(1))
+        assert abs(rep.bias) <= 5.0 * math.sqrt(rep.empirical_variance / 200)
 
     def test_replicate_minimum(self):
         with pytest.raises(ValueError, match="replicates"):

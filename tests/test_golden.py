@@ -38,19 +38,17 @@ from pathlib import Path
 import pytest
 
 from concomitant_measures import (
+    ROUTES,
     Exponential,
     FgmModel,
-    cpi_gos,
     extremes_inaccuracy,
-    inaccuracy_gos,
     lyapunov_ratio,
     moments_mtbged,
     moments_mtbud,
     parse_gos,
     parse_marginal,
-    quantile_form_inaccuracy,
 )
-from concomitant_measures.cli import main
+from concomitant_measures.cli import MEASURES, main
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden" / "grid.json"
@@ -90,6 +88,12 @@ SIMULATE = [
     ("rayleigh:sigma=1", "record:r=3", "1", "20", "100", "2", "csv"),
     ("invweibull:theta=1,beta=3", "os:r=1,n=3", "-1", "40", "100", "9", "json"),
 ]
+# the first field of a library route entry's key, and its route in ROUTES
+LIBRARY_ROUTES = {
+    "inaccuracy_gos.quadrature": "inaccuracy.quadrature",
+    "quantile_form_inaccuracy": "inaccuracy.quantile_form",
+    "cpi_gos.quadrature": "cpi.quadrature",
+}
 
 
 def cli_cases():
@@ -112,10 +116,8 @@ def library_cases():
             p = parse_gos(gos)
             for alpha in (-1.0, 0.5):
                 model = FgmModel(marginal_x=marginal, marginal_y=marginal, alpha=alpha)
-                key = f"{spec}|{gos}|{alpha}"
-                yield f"inaccuracy_gos.quadrature|{key}", partial(inaccuracy_gos, model, p, "quadrature")
-                yield f"quantile_form_inaccuracy|{key}", partial(quantile_form_inaccuracy, model, p)
-                yield f"cpi_gos.quadrature|{key}", partial(cpi_gos, model, p, "quadrature")
+                for name, route in LIBRARY_ROUTES.items():
+                    yield f"{name}|{spec}|{gos}|{alpha}", partial(ROUTES[route], model, p)
         for alphas in ((0.5, -0.3, 1.0), (1.0, 1.0, 1.0, 1.0)):
             for which in ("min", "max"):
                 yield (f"extremes_inaccuracy|{spec}|{alphas}|{which}",
@@ -176,16 +178,7 @@ def same_record(expected, actual) -> bool:
 EPS = sys.float_info.epsilon
 # the reference route in perfbench/oracle.py of a CLI measure row or of a
 # library entry (by the first field of its key)
-ROUTES = {
-    "inaccuracy": "inaccuracy.closed_form",
-    "reversed_inaccuracy": "inaccuracy.reversed",
-    "cpi": "cpi.closed_form",
-    "reversed_cpi": "cpi.reversed",
-    "bounds": "cpi.bounds",
-    "inaccuracy_gos.quadrature": "inaccuracy.quadrature",
-    "quantile_form_inaccuracy": "inaccuracy.quantile_form",
-    "cpi_gos.quadrature": "cpi.quadrature",
-}
+REFERENCE_ROUTES = {**MEASURES, **LIBRARY_ROUTES}
 # the numbers of a repr, not the digits of a name such as np.float64
 _REPR_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
 
@@ -241,9 +234,9 @@ def _audit_entry(key, old, new, oracle) -> tuple[bool, float, list[str]]:
         name, *config = key.split("|")
         if _numbers(old) == _numbers(new):
             return True, 0.0, ["repr-only"]
-        if name not in ROUTES:
+        if name not in REFERENCE_ROUTES:
             return False, 0.0, ["REJECTED: no reference for this entry"]
-        ok, share, line = _audit_value(oracle, ROUTES[name], *config, _numbers(old), _numbers(new))
+        ok, share, line = _audit_value(oracle, REFERENCE_ROUTES[name], *config, _numbers(old), _numbers(new))
         return ok, share, [line]
     argv = key.split()
     old_lines, new_lines = old["stdout"].splitlines(), new["stdout"].splitlines()
@@ -259,7 +252,7 @@ def _audit_entry(key, old, new, oracle) -> tuple[bool, float, list[str]]:
         o, n = (dict(zip(header, next(csv.reader([line])))) for line in (old_line, new_line))
         if o["measure"] != n["measure"]:
             return False, 0.0, ["REJECTED: the measure rows changed order"]
-        ok, share, line = _audit_value(oracle, ROUTES[o["measure"]], spec, gos, alpha,
+        ok, share, line = _audit_value(oracle, REFERENCE_ROUTES[o["measure"]], spec, gos, alpha,
                                        _row_value(o), _row_value(n))
         accepted, worst = accepted and ok, max(worst, share)
         lines.append(f"{o['measure']} ({o['method']} -> {n['method']}): {line}")
