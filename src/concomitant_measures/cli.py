@@ -18,8 +18,10 @@ Exit codes: 0 success, 1 domain error, out-of-range result or unallocatable
 size, 2 spec-string parse error, 3 numerical failure (the quadrature could not
 certify its tolerance; the message carries the best estimate).
 
-The argument parser is built once per process, at the first call of main,
-and reused by every later call.
+The argument parsers are built once per process, at the first call of main,
+and reused by every later call.  Each call is parsed once, by its command's
+own parser; the top-level parser serves only help and errors: no command, an
+unknown command, or words the command does not take.
 """
 
 from __future__ import annotations
@@ -78,10 +80,12 @@ TABLE2_REFERENCE = {
 _TABLE_R = 2
 
 
-# parse_args returns a fresh namespace, so reuse is safe while the parser
-# holds no route function and no per-call state
+# the top-level parser and each command's own, by name: main parses a call
+# once, by its command's parser, and leaves the top-level one to help and
+# errors.  Every parse fills a fresh namespace, so reuse is safe while the
+# parsers hold no route function and no per-call state
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="cmeasure", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -109,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replicates", type=int, required=True, help="at least 100")
     s.add_argument("--seed", type=int, default=0, help="a non-negative integer; default 0")
     add_common(s)
-    return parser
+    return parser, sub.choices
 
 
 def _render(records: list[dict], fmt: str, paper_precision: bool) -> str:
@@ -182,7 +186,15 @@ _COMMANDS = {"measure": _cmd_measure, "table": _cmd_table, "simulate": _cmd_simu
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            # as the top-level parse_args reports them: under its usage line
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = parser.parse_args(argv)  # help, no command or an unknown one: it exits
     try:
         # overflow shows as an error or a non-finite result, not as warnings
         with np.errstate(all="ignore"):

@@ -131,9 +131,10 @@ def c_star(p: GosParams) -> float:
             return 2.0 * math.exp(-p.r * math.log1p(1.0 / float(p.k))) - 1.0
         return _c_star_gamma_ratio(p)
     # n - j is formed exactly and then rounded once, as in the loop; an n
-    # beyond int64 needs Python integers for that
+    # beyond int64 needs Python integers for that.  numpy sums pairwise, but
+    # multiplies in a reduction left to right, one factor at a time
     g = p.gamma(np.arange(1, p.r + 1, dtype=np.int64 if p.n < 2**63 else object))
-    return 2.0 * float(np.multiply.accumulate(g / (g + 1.0))[-1]) - 1.0
+    return 2.0 * float(np.multiply.reduce(g / (g + 1.0))) - 1.0
 
 
 def _c_star_gamma_ratio(p: GosParams) -> float:

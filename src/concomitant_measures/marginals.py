@@ -491,23 +491,25 @@ def parse_fields(text: str, spec: str, start: int, allowed: set[str]) -> dict[st
         name, eq, value = token.partition("=")
         name = name.strip().lower()
         key = _ALIASES.get(name, name)
-        where = f"at position {pos} in {spec!r}"
         if not eq or not key:
-            raise SpecFormatError(f"malformed parameter token {token!r} {where}; expected name=value")
-        if key not in allowed:
             raise SpecFormatError(
-                f"unknown parameter {name!r} {where}; allowed: {', '.join(sorted(allowed)) or 'none'}"
+                f"malformed parameter token {token!r} at position {pos} in {spec!r}; expected name=value"
             )
+        if key not in allowed:
+            raise SpecFormatError(f"unknown parameter {name!r} at position {pos} in {spec!r}; "
+                                  f"allowed: {', '.join(sorted(allowed)) or 'none'}")
         if key in out:
-            raise SpecFormatError(f"repeated parameter {key!r} {where}")
+            raise SpecFormatError(f"repeated parameter {key!r} at position {pos} in {spec!r}")
         try:
             number = float(value)
         except ValueError:
             raise SpecFormatError(
-                f"parameter {key!r} has non-numeric value {value.strip()!r} {where}"
+                f"parameter {key!r} has non-numeric value {value.strip()!r} at position {pos} in {spec!r}"
             ) from None
         if not math.isfinite(number):
-            raise SpecFormatError(f"parameter {key!r} has non-finite value {value.strip()!r} {where}")
+            raise SpecFormatError(
+                f"parameter {key!r} has non-finite value {value.strip()!r} at position {pos} in {spec!r}"
+            )
         out[key] = number
         pos += len(token) + 1
     return out

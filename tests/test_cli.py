@@ -12,6 +12,7 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -561,11 +562,11 @@ class TestParserReuse:
     MEASURE = ["measure", "--marginal", "rayleigh:sigma=0.8", "--gos", "record:r=3", "--alpha", "-0.7"]
 
     @staticmethod
-    def run(argv):
+    def run(argv, entry=main):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
-                code = main(argv)
+                code = entry(argv)
             except SystemExit as exc:
                 code = exc.code
         return code, out.getvalue(), err.getvalue()
@@ -589,6 +590,56 @@ class TestParserReuse:
         assert (out if code == 0 else err) != ""
         assert self.run(then) == alone
         assert cli._build_parser.cache_info().misses == 1
+
+
+class TestOneParse:
+    """A known command's arguments are parsed once, by that command's own
+    parser; the top-level parser serves help and errors alone, with the same
+    bytes as when it parsed every call."""
+
+    OK = ["--marginal", "exponential:theta=1", "--gos", "os:r=1,n=3", "--alpha", "0.5"]
+    SIM = ["simulate", "--marginal", "uniform:theta=1", "--gos", "record:r=2", "--alpha", "-1",
+           "--n", "20", "--replicates", "100"]
+    CORPUS = [
+        ["-h"], ["--help"], ["--he"], [], ["bogus"], ["Measure", *OK], ["tab", "--table", "1"],
+        ["-x", "measure", *OK], ["-h", "measure"], ["--", "measure", *OK],
+        ["measure", *OK], ["measure", "-h"], ["table", "--help"], ["simulate", "-h"],
+        ["measure", "--marg", "exponential:theta=1", "--gos", "os:r=1,n=3", "--al", "0.5"],
+        ["measure", "--m", "exponential", "--gos", "os:r=1,n=3", "--alpha", "0.5"],
+        ["measure", "--marginal=logistic", "--gos=record:r=2", "--alpha=-0.5", "--format=json"],
+        ["measure", *OK[:-1], "-0.5", "--measure", "cpi", "--measure", "bounds"],
+        ["measure", "--", *OK], ["measure", *OK, "--measure", "nope"], ["measure", *OK[2:]],
+        ["measure", *OK[:-1], "x"], ["measure", *OK, "--format", "xml"],
+        ["measure", *OK, "--paper-precision"], ["measure", *OK, "--foo", "bar"], ["measure", *OK, "extra"],
+        ["measure", "--marginal", "exponential:thet=1", *OK[2:]],
+        ["table", "--t", "1", "--paper-precision"], ["table", "--table", "2", "--format", "json"],
+        ["table", "--table", "3"], ["table"], SIM, [*SIM, "--seed", "-1"], [*SIM[:-1], "99"],
+    ]
+
+    @staticmethod
+    def reference(argv):
+        """The top-level parser's full parse_args of ``argv``, then main's run
+        of the command it names."""
+        parser, commands = cli._build_parser()
+        args = parser.parse_args(argv)  # help and errors exit here
+        with mock.patch.object(commands[args.command], "parse_known_args", return_value=(args, [])):
+            return main(argv)
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_same_bytes_as_the_top_level_parse(self, argv):
+        assert TestParserReuse.run(argv) == TestParserReuse.run(argv, self.reference)
+
+    def test_the_top_level_parser_reads_no_command_call(self, monkeypatch):
+        parser, _ = cli._build_parser()
+        monkeypatch.setattr(parser, "parse_known_args", mock.Mock(side_effect=AssertionError("top-level parse")))
+        for argv in (["measure", *self.OK], ["table", "--table", "2"], self.SIM):
+            code, out, err = TestParserReuse.run(argv)
+            assert (code, err) == (0, ""), argv
+            assert out.startswith("command,")
+        code, out, err = TestParserReuse.run(["measure", *self.OK, "--foo"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: cmeasure [-h]")
+        assert err.endswith("cmeasure: error: unrecognized arguments: --foo\n")
 
 
 class TestOutOfRange:

@@ -88,11 +88,14 @@ class TestCStar:
                     assert all(abs(v) <= 1.0 for v in values)
                     assert all(a >= b - 1e-14 for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("r", [1, 2, 7, 1000, 65_536])
+    @pytest.mark.parametrize("r", [1, 2, 7, 1000, 65_535, 65_536])
     def test_bitwise_equal_to_the_loop(self, r):
-        # the closed forms are a few ulps off the loop; up to r0 c_star must not be
+        # the closed forms are a few ulps off the loop; up to r0 c_star must not be.
+        # n from 2^63 on takes the Python-integer gammas; with m just above -1
+        # their factors stay below 1 there, so the product is not all ones
         assert r <= fgm._C_STAR_EXACT_R
-        for n, m, k in _loop_cases(r):
+        past_int64 = [(2**63, -1.0 + 2.0**-40, 1.0), (10**22, -1.0 + 2.0**-50, 0.5), (2**64 + 3, 0.0, 1.0)]
+        for n, m, k in _loop_cases(r) + past_int64:
             value = c_star(GosParams(r, n, m, k))
             assert type(value) is float
             assert value == c_star_loop(r, n, m, k), (r, n, m, k)
