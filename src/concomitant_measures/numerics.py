@@ -10,16 +10,17 @@ the substitution y = lo + t/(1-t).
 
 Panels are refined one at a time in QUADPACK's order (largest error first).
 The first bisection of a panel that is not evaluated yet evaluates, in a
-single integrand call, its batch: its bisections ``_SUBTREE_DEPTH`` levels
-down (7 bisections, 14 panels of 15 nodes) and, where the panel touches an
-end of the interval, that end's bisection chain ``_EDGE_DEPTH`` levels
-further (2 panels a level), the path along which an endpoint singularity is
-refined.  The first call adds the whole interval, so even a one-panel
-integral evaluates up to 79 panels.  A process keeps the panels and nodes of
-the 64 batches used last (``_PLAN_CACHE``, under 1 MiB, no integrand
-values).  Later bisections reuse the evaluated panels and finish only the
+single integrand call, its batch: its two halves and, where the panel
+touches an end of the interval, that end's bisection chain ``_EDGE_DEPTH``
+levels further (2 panels a level), the path along which an endpoint
+singularity is refined.  The first call adds the whole interval, so even a
+one-panel integral evaluates up to 67 panels.  A process keeps the panels
+and nodes of the 64 batches used last (``_PLAN_CACHE``, under 1 MiB, no
+integrand values).  Later bisections reuse the evaluated panels and finish only the
 two halves they take, so values, error estimates, evaluation counts and
-messages are those of one call per panel, bit for bit.  A non-finite value
+messages are those of one call per panel, bit for bit.  Midpoints and
+half-widths are formed from halved bounds, 0.5 a + 0.5 b and 0.5 b - 0.5 a,
+so a panel near the largest double does not overflow.  A non-finite value
 at a node of a bisection the loop takes raises :class:`QuadratureError`
 naming that node in y, the left half's nodes before the right half's; one at
 a node evaluated ahead of need and never used raises nothing.
@@ -124,36 +125,33 @@ _ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 # integrate's tolerance, max(_ABS_TOL, _REL_TOL * |integral|), and its panel budget
 _REL_TOL, _ABS_TOL, _MAX_INTERVALS = 1e-10, 1e-12, 2000
 
-# integrate's one integrand call: a popped panel's bisections _SUBTREE_DEPTH
-# levels down (1 is one call per bisection) and, at an end of (lo, hi) it
-# touches, that end's chain of edge-panel bisections _EDGE_DEPTH levels on;
-# the most such batch plans (_batch_plan) a process keeps
-_SUBTREE_DEPTH, _EDGE_DEPTH, _PLAN_CACHE = 3, 16, 64
-_FIRST_NODE, _LAST_NODE = _XGK[[0, -1]].tolist()  # the outermost abscissae, for _batch_plan's filter
+# integrate's one integrand call: a popped panel's halves and, at an end of
+# (lo, hi) it touches, that end's chain of edge-panel bisections _EDGE_DEPTH
+# levels on; the most such batch plans (_batch_plan) a process keeps
+_EDGE_DEPTH, _PLAN_CACHE = 16, 64
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE, typed=True)
-def _batch_plan(a, b, lo, hi, first: bool, subtree_depth: int, edge_depth: int) -> tuple[tuple, np.ndarray]:
+def _batch_plan(a, b, lo, hi, first: bool, edge_depth: int) -> tuple[tuple, np.ndarray]:
     """The panels of integrate's call on popping (a, b) of (lo, hi) and their
-    read-only nodes, a row of 15 each: (a, b) if ``first``, its bisections
-    ``subtree_depth`` levels down, then each touched end's chain of edge-panel
-    bisections ``edge_depth`` levels on, past the rows needed now ((a, b) or
-    its halves) only panels whose nodes lie inside (lo, hi)."""
-    level, bounds = [(a, b)], [(a, b)] * first
-    for _ in range(subtree_depth):
-        level = [child for p, q in level for child in ((p, 0.5 * (p + q)), (0.5 * (p + q), q))]
-        bounds += level
-    for end, (p, q) in ((lo, level[0]), (hi, level[-1])):
+    read-only nodes, a row of 15 each: (a, b) if ``first``, its two halves,
+    then each touched end's chain of edge-panel bisections ``edge_depth``
+    levels on, past the rows needed now ((a, b) or its halves) only panels
+    whose nodes lie inside (lo, hi)."""
+    m = 0.5 * a + 0.5 * b
+    bounds = [(a, b)] * first + [(a, m), (m, b)]
+    for end, (p, q) in ((lo, (a, m)), (hi, (m, b))):
         for _ in range(edge_depth if end in (a, b) else 0):
-            c = 0.5 * (p + q)
+            c = 0.5 * p + 0.5 * q
             bounds += [(p, c), (c, q)]
             p, q = (p, c) if end == lo else (c, q)
-    bounds[2 - first:] = [(p, q) for p, q in bounds[2 - first:] for mid, half in [(0.5 * (q + p), 0.5 * (q - p))]
-                          if lo < mid + half * _FIRST_NODE and mid + half * _LAST_NODE < hi]
-    mid, half = np.array([0.5 * (q + p) for p, q in bounds]), np.array([0.5 * (q - p) for p, q in bounds])
+    mid, half = np.array([0.5 * p + 0.5 * q for p, q in bounds]), np.array([0.5 * q - 0.5 * p for p, q in bounds])
     x = mid[:, None] + half[:, None] * _XGK
+    keep = (lo < x[:, 0]) & (x[:, -1] < hi)  # the row's outermost nodes inside (lo, hi)
+    keep[: 2 - first] = True
+    x = x[keep]
     x.flags.writeable = False
-    return tuple(bounds), x
+    return tuple(panel for panel, kept in zip(bounds, keep.tolist()) if kept), x
 
 
 def _kronrod_rows(evaluate: Callable, x: np.ndarray) -> list:
@@ -186,7 +184,7 @@ def _finish_row(row, lo, hi) -> tuple[float, float]:
     if isinstance(row, QuadratureError):
         raise row
     k, g, a, s = row
-    h = 0.5 * (hi - lo)
+    h = 0.5 * hi - 0.5 * lo
     err = abs(k - g) * h
     s *= h
     if s != 0.0 and err != 0.0:
@@ -203,8 +201,8 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
     apparent divergence) or when the integrand produces NaN/inf at a node
     the result would rest on.  ``f`` takes a 1-d array of nodes; a node's
     value may not depend on which other nodes share the call.  A call
-    evaluates a popped panel's batch (:func:`_batch_plan`), the first also
-    (lo, hi); only the panel's halves, or (lo, hi), may have nodes on an end.
+    evaluates a popped panel's halves and end chain (:func:`_batch_plan`),
+    the first also (lo, hi); no chain panel has a node on an end.
     """
     if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
@@ -237,7 +235,7 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
             return x, fx, fx
 
     evals = 15
-    bounds, x = _batch_plan(lo, hi, lo, hi, True, _SUBTREE_DEPTH, _EDGE_DEPTH)
+    bounds, x = _batch_plan(lo, hi, lo, hi, True, _EDGE_DEPTH)
     # (lo, hi) -> _kronrod_rows' row for every panel evaluated so far
     panels = dict(zip(bounds, _kronrod_rows(evaluate, x)))
     val, err = _finish_row(panels[lo, hi], lo, hi)
@@ -259,9 +257,9 @@ def integrate(f: Callable, lo: float, hi: float) -> MeasureResult:
                 best=best,
             )
         _, a, b, v, e = heapq.heappop(heap)
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b
         if (a, m) not in panels or (m, b) not in panels:
-            bounds, x = _batch_plan(a, b, lo, hi, False, _SUBTREE_DEPTH, _EDGE_DEPTH)
+            bounds, x = _batch_plan(a, b, lo, hi, False, _EDGE_DEPTH)
             panels.update(zip(bounds, _kronrod_rows(evaluate, x)))
         (v1, e1), (v2, e2) = _finish_row(panels[a, m], a, m), _finish_row(panels[m, b], m, b)
         evals += 30

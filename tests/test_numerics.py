@@ -138,6 +138,13 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="finite hi - lo and hi \\+ lo"):
                 integrate(lambda x: np.exp(-x * x), lo, hi)
 
+    def test_panels_near_the_largest_double_do_not_overflow(self):
+        # the right end's chain has both bounds above 0.9e308, where p + q
+        # overflows; midpoints and half-widths come from halved bounds
+        L = 1.7e308
+        res = integrate(lambda x: 1e-300 * np.log(L - x), 0.0, L)
+        assert abs(res.value - 1e-300 * L * (math.log(L) - 1.0)) <= res.abs_error_estimate
+
     def test_nan_integrand_identifies_abscissa(self):
         with pytest.raises(QuadratureError, match="non-finite value at y="):
             integrate(lambda y: np.where(np.abs(y - 0.3) < 0.005, np.nan, 1.0), 0.0, 1.0)
@@ -203,7 +210,8 @@ def _leftmost_panel(lo, hi, bisections):
 
 
 # a node of the leftmost panel three bisections below (-1, 2.5), where the
-# "smooth" integrand bisects only twice: evaluated ahead of need, never used
+# "smooth" integrand bisects only twice: reached through the left end's
+# bisection chain, evaluated ahead of need, never used
 _UNUSED_NODE = _nodes(*_leftmost_panel(-1.0, 2.5, 3))[3]
 # likewise eight bisections below, on the left end's bisection chain
 _UNUSED_CHAIN_NODE = _nodes(*_leftmost_panel(-1.0, 2.5, 8))[3]
@@ -277,10 +285,10 @@ def _same(a, b):
 
 
 class TestBatchedEvaluation:
-    """``integrate`` evaluates a panel's bisections a few levels deep in one
-    integrand call; the sequential scheme with one call per panel is the
-    reference, and every result, error message and best estimate must equal
-    it."""
+    """``integrate`` evaluates a panel's halves, and a touched end's bisection
+    chain, in one integrand call; the sequential scheme with one call per
+    panel is the reference, and every result, error message and best
+    estimate must equal it."""
 
     @pytest.mark.parametrize("name", sorted(BATCHING_CORPUS))
     def test_bitwise_equal_to_per_panel_reference(self, name):
@@ -317,13 +325,13 @@ class TestBatchedEvaluation:
         "name", ["smooth", "log_endpoint", "plain_log", "semi_infinite_shifted", "budget_exhausted"]
     )
     def test_one_call_per_bisection(self, name):
-        # the first call evaluates the first panel with its first batch (the
-        # subtree and both ends' chains, none of whose panels is narrow
+        # the first call evaluates the first panel with its first batch (its
+        # halves and both ends' chains, none of whose panels is narrow
         # enough here to be filtered out), then one call per pop whose
         # halves are not cached: those two halves at least, at most the
-        # subtree plus a bisection chain at each end; fewer calls than
-        # bisections, and along a log endpoint about one per _EDGE_DEPTH
-        # bisections; the count stays the sequential one
+        # halves plus the bisection chain of the one end the panel touches;
+        # fewer calls than bisections, and along a log endpoint about one
+        # per _EDGE_DEPTH bisections; the count stays the sequential one
         factory, lo, hi, constants = BATCHING_CORPUS[name]
         inner = factory()
         sizes = []
@@ -337,12 +345,33 @@ class TestBatchedEvaluation:
         evaluations = result[1].evaluations if isinstance(result, tuple) else result.evaluations
         bisections, rest = divmod(evaluations - 15, 30)
         assert rest == 0 and bisections >= 2
-        most = 15 * (2 ** (numerics._SUBTREE_DEPTH + 1) - 2 + 2 * 2 * numerics._EDGE_DEPTH)
-        assert sizes[0] == 15 + most
+        most = 15 * (2 + 2 * numerics._EDGE_DEPTH)
+        assert sizes[0] == 15 * (3 + 4 * numerics._EDGE_DEPTH)
         assert all(size in range(30, most + 1, 15) for size in sizes[1:])
         assert len(sizes) - 1 < bisections
         if name in ("log_endpoint", "plain_log"):
             assert len(sizes) - 1 <= math.ceil(bisections / numerics._EDGE_DEPTH)
+
+    def test_pop_away_from_both_ends_evaluates_only_its_halves(self, monkeypatch):
+        # a kink at 0.3 makes the loop pop panels that touch neither end of
+        # (0, 1): the call of each such pop evaluates its two halves alone
+        plan, inside, sizes = numerics._batch_plan, [], []
+
+        def spy(a, b, lo, hi, *rest):
+            inside.append(lo < a and b < hi)
+            return plan(a, b, lo, hi, *rest)
+
+        def g(u):
+            return np.sqrt(np.abs(u - 0.3))
+
+        def f(u):
+            sizes.append(u.size)
+            return g(u)
+
+        monkeypatch.setattr(numerics, "_batch_plan", spy)
+        assert _same(integrate(f, 0.0, 1.0), integrate_per_panel(g, 0.0, 1.0))
+        interior = [size for away, size in zip(inside, sizes, strict=True) if away]
+        assert interior and set(interior) == {30}
 
     def test_nan_at_a_node_evaluated_ahead_of_need_does_not_raise(self):
         for name, node in (("nan_at_unused_node", _UNUSED_NODE), ("nan_at_unused_chain_node", _UNUSED_CHAIN_NODE)):
@@ -418,7 +447,7 @@ class TestBatchedEvaluation:
 class TestBatchPlans:
     """``integrate`` keeps each batch's panels and read-only nodes
     (``_batch_plan``) per process, keyed on the popped panel, the interval,
-    the depths and the argument types; no result may depend on what the
+    the edge depth and the argument types; no result may depend on what the
     cache holds."""
 
     def test_cold_warm_and_thrashed_cache_equal_the_per_panel_reference(self, monkeypatch):
@@ -445,7 +474,7 @@ class TestBatchPlans:
         assert _same(res, integrate_per_panel(f, np.float64(-1.0), np.float64(2.5)))
         assert (res.value, res.abs_error_estimate) == (plain.value, plain.abs_error_estimate)
         bounds, _ = numerics._batch_plan(np.float64(-1.0), np.float64(2.5), np.float64(-1.0), np.float64(2.5),
-                                         True, numerics._SUBTREE_DEPTH, numerics._EDGE_DEPTH)
+                                         True, numerics._EDGE_DEPTH)
         assert {type(v) for panel in bounds for v in panel} == {np.float64}
 
     @pytest.mark.parametrize("name", ["log_endpoint", "plain_log", "nan_in_both_halves", "nan_at_mapped_node"])
@@ -492,7 +521,7 @@ class TestBatchPlans:
             patched = {**constants, "_EDGE_DEPTH": edge_depth}
             assert _same(_outcome(integrate, lambda: f, lo, hi, patched),
                          _outcome(integrate_per_panel, factory, lo, hi, patched))
-            assert sizes[0] == 15 * (2 ** (numerics._SUBTREE_DEPTH + 1) - 1 + 2 * 2 * edge_depth)
+            assert sizes[0] == 15 * (3 + 4 * edge_depth)
 
 
 class TestPsi:
